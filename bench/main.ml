@@ -4,11 +4,7 @@
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe table1     -- one experiment
      experiments: table1 fig1 fig2 fig3 fig4 fig5 ablation statistics timing
-                  cache kernels sparse scaling serve
-   [--backend NAME] selects the default linear-solver backend for every
-   analysis (kernel | reference | sparse | sparse-natural); [sparse]
-   compares dense vs CSR refactorization and dumps [--sparse-json FILE]
-   (CI keeps it as BENCH_sparse.json).
+                  cache kernels scaling serve opt
 
    [timing] additionally compares sequential vs domain-pool wall-clock
    for the embarrassingly parallel workloads (Monte Carlo, corner sweep,
@@ -989,7 +985,7 @@ let kernels () =
   kernels_sim ();
   Format.printf
     "@.bit-identity here is exact (Int64.bits_of_float); the kernel path is \
-     the default backend everywhere, the functor remains as reference.@."
+     the only production solver, the functor remains as its oracle.@."
 
 let kernels_doc () =
   Obs.Json.Obj
@@ -997,276 +993,6 @@ let kernels_doc () =
      :: List.rev !kernel_records)
 
 let write_kernels_json path = write_doc ~what:"kernel" (kernels_doc ()) path
-
-(* ------------------------------------------------------------------ *)
-(* Sparse - CSR symbolic/numeric split vs the dense kernel             *)
-(* ------------------------------------------------------------------ *)
-
-(* top-level sections dumped by [--sparse-json FILE] (CI keeps it as
-   BENCH_sparse.json) *)
-let sparse_records : (string * Obs.Json.t) list ref = ref []
-
-(* RC ladder: [sections] series resistors with a shunt capacitor per
-   internal node, driven by a voltage source — the canonical banded
-   workload (unknowns = sections + 2) *)
-let rc_ladder sections =
-  let node i = Printf.sprintf "s%d" i in
-  let c = Netlist.Circuit.create ~title:"rc ladder" in
-  let c =
-    Netlist.Circuit.add_vsource c ~name:"in" ~p:(node 0) ~n:"0"
-      (Netlist.Element.dc_source 1.0)
-  in
-  let rec go c i =
-    if i >= sections then c
-    else
-      let c =
-        Netlist.Circuit.add_resistor c ~name:(Printf.sprintf "r%d" i)
-          ~p:(node i) ~n:(node (i + 1)) ~r:1e3
-      in
-      let c =
-        Netlist.Circuit.add_capacitor c ~name:(Printf.sprintf "c%d" i)
-          ~p:(node (i + 1)) ~n:"0" ~c:1e-12
-      in
-      go c (i + 1)
-  in
-  (go c 0, fun (_ : string) -> Some 1.0)
-
-(* [copies] independent instances of the folded-cascode testbench, nodes
-   and names suffixed per copy — the "many cells on one die" workload
-   whose Jacobian is block-diagonal with dense 14-unknown blocks *)
-let ota_array (base, base_guess) copies =
-  let module El = Netlist.Element in
-  let remap sfx el =
-    let rn n = if n = El.ground then n else n ^ "." ^ sfx in
-    match el with
-    | El.Resistor { name; p; n; r } ->
-      El.Resistor { name = name ^ "." ^ sfx; p = rn p; n = rn n; r }
-    | El.Capacitor { name; p; n; c } ->
-      El.Capacitor { name = name ^ "." ^ sfx; p = rn p; n = rn n; c }
-    | El.Isource { name; p; n; i } ->
-      El.Isource { name = name ^ "." ^ sfx; p = rn p; n = rn n; i }
-    | El.Vsource { name; p; n; v } ->
-      El.Vsource { name = name ^ "." ^ sfx; p = rn p; n = rn n; v }
-    | El.Mos { dev; d; g; s; b } ->
-      El.Mos
-        {
-          dev = { dev with Device.Mos.name = dev.Device.Mos.name ^ "." ^ sfx };
-          d = rn d;
-          g = rn g;
-          s = rn s;
-          b = rn b;
-        }
-  in
-  let c = ref (Netlist.Circuit.create ~title:"ota array") in
-  for k = 1 to copies do
-    let sfx = string_of_int k in
-    List.iter
-      (fun el -> c := Netlist.Circuit.add !c (remap sfx el))
-      (Netlist.Circuit.elements base)
-  done;
-  let guess name =
-    match String.rindex_opt name '.' with
-    | Some i -> base_guess (String.sub name 0 i)
-    | None -> None
-  in
-  (!c, guess)
-
-let time_once f =
-  let t0 = Obs.Clock.monotonic_s () in
-  let v = f () in
-  (v, Obs.Clock.monotonic_s () -. t0)
-
-(* One workload size: stamp the DC Jacobian at the intended bias once
-   into the dense workspace and the CSR slot array, then compare a dense
-   blit+factor+solve against a sparse refactor+solve over the frozen
-   symbolic analysis (reported separately, as its cost amortises over a
-   whole Newton/transient/AC run). *)
-let sparse_point ~label circuit guess =
-  let idx = Sim.Indexing.build circuit in
-  let n = Sim.Indexing.size idx in
-  let prog = Sim.Stamps.compile proc idx circuit in
-  let x = Array.make n 0.0 in
-  Array.iteri
-    (fun i nm -> match guess nm with Some v -> x.(i) <- v | None -> ())
-    (Sim.Indexing.node_names idx);
-  let ws = Linalg.Ws.real n in
-  let dctx = Sim.Stamps.make_ws idx ws x in
-  Sim.Stamps.run kind prog dctx ~gmin:1e-12 ~alpha:1.0;
-  let template = Linalg.Dense_f.create n n in
-  Linalg.Dense_f.blit ~src:ws.Linalg.Ws.jac ~dst:template;
-  let pat = Sim.Stamps.dc_pattern idx prog in
-  let sp = Sim.Stamps.compile_slots pat idx prog in
-  let sm = Sim.Stamps.smat_of_pattern pat in
-  let sctx =
-    Sim.Stamps.make_sparse idx sm ~f:(Linalg.Ws.sparse_real n).Linalg.Ws.srhs x
-  in
-  Sim.Stamps.run_sparse kind sp sctx ~gmin:1e-12 ~alpha:1.0;
-  (* symbolic analyses: the first build is the real (uncached) cost *)
-  let sym_md, symbolic_s =
-    time_once (fun () ->
-      Linalg.Sparse.symbolic Linalg.Sparse.Min_degree pat)
-  in
-  let sym_nat, _ =
-    time_once (fun () -> Linalg.Sparse.symbolic Linalg.Sparse.Natural pat)
-  in
-  let fact_md = Linalg.Sparse.Real.create sym_md in
-  let fact_nat = Linalg.Sparse.Real.create sym_nat in
-  let b = Array.init n (fun i -> Float.cos (float_of_int (i + 1))) in
-  let xs = Array.make n 0.0 and xn = Array.make n 0.0 in
-  let dense_solve () =
-    Linalg.Dense_f.blit ~src:template ~dst:ws.Linalg.Ws.jac;
-    Array.blit b 0 ws.Linalg.Ws.rhs 0 n;
-    Linalg.Dense_f.lu_factor_in_place ws.Linalg.Ws.jac ~piv:ws.Linalg.Ws.piv;
-    Linalg.Dense_f.lu_solve_into ws.Linalg.Ws.jac ~piv:ws.Linalg.Ws.piv
-      ~b:ws.Linalg.Ws.rhs ~x:ws.Linalg.Ws.delta
-  in
-  let sparse_solve () =
-    Linalg.Sparse.Real.refactor fact_md ~vals:sm.Sim.Stamps.svals;
-    Linalg.Sparse.Real.solve_into fact_md ~b ~x:xs
-  in
-  let natural_solve () =
-    Linalg.Sparse.Real.refactor fact_nat ~vals:sm.Sim.Stamps.svals;
-    Linalg.Sparse.Real.solve_into fact_nat ~b ~x:xn
-  in
-  dense_solve ();
-  natural_solve ();
-  let identical = ref true in
-  for i = 0 to n - 1 do
-    if not (bits_eq ws.Linalg.Ws.delta.(i) xn.(i)) then identical := false
-  done;
-  let fill_md = Linalg.Sparse.fill_nnz sym_md in
-  (* pick reps so one timing batch costs ~20 ms whatever the solver *)
-  let calibrated f =
-    let _, once = time_once f in
-    max 2 (min 20_000 (int_of_float (0.02 /. Float.max 1e-7 once)))
-  in
-  let reps_d = calibrated dense_solve in
-  let dense_s = time_per ~reps:reps_d dense_solve in
-  let md_s = time_per ~reps:(calibrated sparse_solve) sparse_solve in
-  let nat_s = time_per ~reps:(calibrated natural_solve) natural_solve in
-  let dense_w = minor_words_per ~reps:reps_d dense_solve in
-  let md_w = minor_words_per ~reps:(calibrated sparse_solve) sparse_solve in
-  let speedup = dense_s /. Float.max 1e-12 md_s in
-  Format.printf
-    "  %-10s n=%-5d nnz %6d fill %6d  dense %9.2f us  sparse %8.2f us \
-     (natural %8.2f us)  speedup %6.2fx  symbolic %7.1f us  alloc %6.0f -> \
-     %3.0f words  identical %b@."
-    label n (Linalg.Sparse.nnz pat) fill_md (dense_s *. 1e6) (md_s *. 1e6)
-    (nat_s *. 1e6) speedup (symbolic_s *. 1e6) dense_w md_w !identical;
-  ( speedup >= 1.0,
-    !identical,
-    Obs.Json.Obj
-      [
-        ("n", Obs.Json.Num (float_of_int n));
-        ("nnz", Obs.Json.Num (float_of_int (Linalg.Sparse.nnz pat)));
-        ("fill_nnz", Obs.Json.Num (float_of_int fill_md));
-        ("dense_s_per_solve", Obs.Json.Num dense_s);
-        ("sparse_s_per_solve", Obs.Json.Num md_s);
-        ("sparse_natural_s_per_solve", Obs.Json.Num nat_s);
-        ("symbolic_s", Obs.Json.Num symbolic_s);
-        ("speedup", Obs.Json.Num speedup);
-        ("dense_words_per_solve", Obs.Json.Num dense_w);
-        ("sparse_words_per_solve", Obs.Json.Num md_w);
-        ("natural_identical_bits", Obs.Json.Bool !identical);
-      ] )
-
-let sparse_sizes = [ 16; 64; 256; 1024 ]
-
-let sparse_workload ~label make =
-  Format.printf "@.%s:@." label;
-  let recs =
-    List.map
-      (fun target ->
-        let circuit, guess = make target in
-        sparse_point ~label circuit guess)
-      sparse_sizes
-  in
-  let crossover =
-    List.fold_left2
-      (fun acc target (wins, _, _) ->
-        match acc with Some _ -> acc | None -> if wins then Some target else None)
-      None sparse_sizes recs
-  in
-  (match crossover with
-   | Some t -> Format.printf "  -> sparse beats dense from n ~ %d up@." t
-   | None -> Format.printf "  -> dense still ahead at every measured size@.");
-  let all_identical = List.for_all (fun (_, ok, _) -> ok) recs in
-  if not all_identical then
-    failwith (label ^ ": sparse-natural diverged from the dense kernel");
-  sparse_records :=
-    ( label,
-      Obs.Json.Obj
-        [
-          ("points", Obs.Json.Arr (List.map (fun (_, _, j) -> j) recs));
-          ("crossover_n",
-           match crossover with
-           | Some t -> Obs.Json.Num (float_of_int t)
-           | None -> Obs.Json.Null);
-        ] )
-    :: !sparse_records
-
-let strip_flow_elapsed (r : Core.Flow.result) =
-  { r with Core.Flow.elapsed = 0.0 }
-
-(* The headline identity claim: the whole Table-1 flow (sizing, layout
-   loop, full performance extraction) under [Sparse Natural] returns the
-   same results as under the dense kernel, field for field.  Caches off so
-   the second run cannot answer from the first run's memos. *)
-let sparse_flow_identity () =
-  let flow_under backend =
-    Sim.Stamps.with_default_backend backend @@ fun () ->
-    Cache.Config.with_enabled false @@ fun () ->
-    List.map strip_flow_elapsed (Core.Flow.run_all ~proc ~kind ~spec ())
-  in
-  let k, kernel_s = time_once (fun () -> flow_under Sim.Stamps.Kernel) in
-  let s, sparse_s =
-    time_once (fun () ->
-      flow_under (Sim.Stamps.Sparse Linalg.Sparse.Min_degree))
-  in
-  let nat =
-    flow_under (Sim.Stamps.Sparse Linalg.Sparse.Natural)
-  in
-  let identical = compare k nat = 0 in
-  Format.printf
-    "@.full Table-1 flow (4 cases): kernel %.1f s, sparse %.1f s; \
-     sparse-natural identical to kernel: %b@."
-    kernel_s sparse_s identical;
-  ignore s;
-  if not identical then
-    failwith "table-1 flow: sparse-natural diverged from the dense kernel";
-  sparse_records :=
-    ( "flow",
-      Obs.Json.Obj
-        [
-          ("kernel_s", Obs.Json.Num kernel_s);
-          ("sparse_s", Obs.Json.Num sparse_s);
-          ("natural_identical", Obs.Json.Bool identical);
-        ] )
-    :: !sparse_records
-
-let sparse_bench () =
-  section
-    "Sparse - CSR LU (symbolic/numeric split) vs dense kernel, \
-     refactor+solve per iterate";
-  (* caches off: repeated identical solves must measure the solver *)
-  (Cache.Config.with_enabled false @@ fun () ->
-   let tb = lazy (let _, c, g = solver_testbench () in (c, g)) in
-   sparse_workload ~label:"rc-ladder" (fun n -> rc_ladder (max 1 (n - 2)));
-   (* one testbench copy is 21 MNA unknowns (14 nodes + 7 source rows) *)
-   sparse_workload ~label:"ota-array" (fun n ->
-     ota_array (Lazy.force tb) (max 1 (n / 21))));
-  sparse_flow_identity ();
-  Format.printf
-    "@.symbolic analysis runs once per circuit structure and is reported \
-     separately: every Newton iterate, transient step and AC point pays \
-     only the numeric refactor.@."
-
-let sparse_doc () =
-  Obs.Json.Obj
-    (("schema", Obs.Json.Str "losac.bench.sparse/1")
-     :: List.rev !sparse_records)
-
-let write_sparse_json path = write_doc ~what:"sparse" (sparse_doc ()) path
 
 (* ------------------------------------------------------------------ *)
 (* Serve - job-daemon load test                                        *)
@@ -1415,7 +1141,7 @@ let serve_bench () =
     :: !serve_records;
   (* Executor sweep: the same daemon, 1 vs 2 vs 4 executor domains,
      under a mixed load whose requests pin pairwise-conflicting context
-     flags (cache on/off x backend kernel/sparse-natural) — concurrent
+     flags (cache on/off x jobs 1/2) — concurrent
      jobs with contradictory switches are exactly what the context-local
      bindings must isolate.  Every other request is a short sleep so
      executor overlap shows even on a single-core box: a sleeping job
@@ -1430,14 +1156,11 @@ let serve_bench () =
           | 3 -> Serve.Protocol.Tech
           | _ -> Serve.Protocol.Ping
       in
-      let backend =
-        if i mod 2 = 0 then Sim.Stamps.Kernel
-        else Sim.Stamps.Sparse Linalg.Sparse.Natural
-      in
+      let jobs = if i mod 2 = 0 then 1 else 2 in
       (* conflicting cache flags ride on the cheap workloads so the
          sweep measures executor overlap, not cold recomputation *)
       let cache = i mod 4 < 2 in
-      Serve.Protocol.request ~id:i ~cache ~backend workload
+      Serve.Protocol.request ~id:i ~cache ~jobs workload
     in
     (* warm the process-wide memos once so the 1-executor baseline is
        not charged for cold synthesis the later sweep points skip *)
@@ -1701,7 +1424,6 @@ let experiments =
     ("scaling", scaling);
     ("cache", cache_bench);
     ("kernels", kernels);
-    ("sparse", sparse_bench);
     ("serve", serve_bench);
     ("opt", opt_bench);
   ]
@@ -1734,7 +1456,6 @@ let run_check ~baselines ~report_only =
       ("scaling", (!scaling_records <> []), scaling_doc);
       ("cache", (!cache_records <> []), cache_doc);
       ("kernels", (!kernel_records <> []), kernels_doc);
-      ("sparse", (!sparse_records <> []), sparse_doc);
       ("opt", (!opt_records <> []), opt_doc);
     ]
   in
@@ -1771,7 +1492,7 @@ let run_check ~baselines ~report_only =
 let () =
   let names = ref [] in
   let json = ref None and cache_json = ref None in
-  let kernels_json = ref None and sparse_json = ref None in
+  let kernels_json = ref None in
   let scaling_json = ref None and serve_json = ref None in
   let opt_json = ref None in
   let check = ref false and check_report = ref false in
@@ -1781,7 +1502,6 @@ let () =
     | "--json" :: path :: rest -> json := Some path; split rest
     | "--cache-json" :: path :: rest -> cache_json := Some path; split rest
     | "--kernels-json" :: path :: rest -> kernels_json := Some path; split rest
-    | "--sparse-json" :: path :: rest -> sparse_json := Some path; split rest
     | "--scaling-json" :: path :: rest -> scaling_json := Some path; split rest
     | "--serve-json" :: path :: rest -> serve_json := Some path; split rest
     | "--opt-json" :: path :: rest -> opt_json := Some path; split rest
@@ -1793,22 +1513,13 @@ let () =
     | "--baselines" :: dir :: rest -> baselines := dir; split rest
     | "--check" :: rest -> check := true; split rest
     | "--check-report" :: rest -> check := true; check_report := true; split rest
-    | "--backend" :: name :: rest ->
-      (match Sim.Stamps.backend_of_string name with
-       | Ok b -> Sim.Stamps.set_default_backend b
-       | Error msg ->
-         prerr_endline ("bench: " ^ msg);
-         exit 2);
-      split rest
-    | [ ("--json" | "--cache-json" | "--kernels-json" | "--sparse-json"
-        | "--scaling-json" | "--serve-json" | "--opt-json" | "--serve-socket"
-        | "--serve-clients" | "--serve-requests" | "--backend"
-        | "--baselines") ] ->
+    | [ ("--json" | "--cache-json" | "--kernels-json" | "--scaling-json"
+        | "--serve-json" | "--opt-json" | "--serve-socket"
+        | "--serve-clients" | "--serve-requests" | "--baselines") ] ->
       prerr_endline
-        "bench: --json/--cache-json/--kernels-json/--sparse-json/\
-         --scaling-json/--serve-json/--opt-json/--serve-socket/\
-         --serve-clients/--serve-requests/--backend/--baselines need an \
-         argument";
+        "bench: --json/--cache-json/--kernels-json/--scaling-json/\
+         --serve-json/--opt-json/--serve-socket/--serve-clients/\
+         --serve-requests/--baselines need an argument";
       exit 2
     | name :: rest -> names := name :: !names; split rest
   in
@@ -1828,7 +1539,6 @@ let () =
   Option.iter write_scaling_json !scaling_json;
   Option.iter write_cache_json !cache_json;
   Option.iter write_kernels_json !kernels_json;
-  Option.iter write_sparse_json !sparse_json;
   Option.iter write_serve_json !serve_json;
   Option.iter write_opt_json !opt_json;
   if !check then

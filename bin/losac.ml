@@ -70,32 +70,6 @@ let seed_term =
        & opt (some int) None
        & info [ "seed" ] ~docv:"N" ~env:(Cmd.Env.info "LOSAC_SEED") ~doc)
 
-(* --- solver backend --------------------------------------------------- *)
-
-let backend_conv =
-  let parse s =
-    match Sim.Stamps.backend_of_string s with
-    | Ok b -> Ok b
-    | Error msg -> Error (`Msg msg)
-  in
-  let print fmt b = Format.pp_print_string fmt (Sim.Stamps.backend_name b) in
-  Arg.conv (parse, print)
-
-let backend_term =
-  let doc =
-    "Linear-solver backend for every analysis: $(b,kernel) (dense unboxed \
-     in-place LU, the default), $(b,reference) (boxed functor solver), \
-     $(b,sparse) (CSR LU with fill-reducing minimum-degree ordering and \
-     symbolic/numeric split — fastest on large circuits) or \
-     $(b,sparse-natural) (sparse with the dense pivoting rule, \
-     bit-identical to $(b,kernel)).  Overrides the $(b,LOSAC_BACKEND) \
-     environment variable."
-  in
-  Arg.(value
-       & opt (some backend_conv) None
-       & info [ "backend" ] ~docv:"NAME"
-           ~env:(Cmd.Env.info "LOSAC_BACKEND") ~doc)
-
 (* --- caching ---------------------------------------------------------- *)
 
 let cache_term =
@@ -224,7 +198,6 @@ type telemetry = {
   jobs : int option;
   chunk : int option;
   cache : bool option;
-  backend : Sim.Stamps.backend option;
   seed : int option;
 }
 
@@ -272,7 +245,7 @@ let telemetry_term =
                    line) to $(docv); feed it to flamegraph.pl or \
                    speedscope.  Implies telemetry collection.")
   in
-  let setup trace metrics verbose jobs chunk cache backend seed stats
+  let setup trace metrics verbose jobs chunk cache seed stats
       openmetrics prof_folded =
     Fmt_tty.setup_std_outputs ();
     Logs.set_reporter (Logs_fmt.reporter ());
@@ -285,19 +258,18 @@ let telemetry_term =
       Obs.Config.set_enabled true;
     Option.iter Par.Pool.set_default_jobs jobs;
     Option.iter Cache.Config.set_enabled cache;
-    Option.iter Sim.Stamps.set_default_backend backend;
     { trace; metrics; stats; openmetrics; prof_folded; jobs; chunk; cache;
-      backend; seed }
+      seed }
   in
   Term.(const setup $ trace $ metrics $ verbose $ jobs_term $ chunk_term
-        $ cache_term $ backend_term $ seed_term $ stats $ openmetrics
+        $ cache_term $ seed_term $ stats $ openmetrics
         $ prof_folded)
 
 (* The execution context handed to the analyses: one bundle instead of
    loose ?jobs/?cache/?telemetry arguments (see Core.Ctx). *)
 let ctx_of ?label tele proc =
   Core.Ctx.make ?jobs:tele.jobs ?chunk:tele.chunk ?cache:tele.cache
-    ?backend:tele.backend ?seed:tele.seed ?label proc
+    ?seed:tele.seed ?label proc
 
 (* Emit whatever telemetry the flags requested, after the command ran. *)
 let telemetry_finish tele =
@@ -360,7 +332,7 @@ let format_term =
    Api.execute the server's executor thread calls. *)
 let request_of ?timeout_s ?telemetry tele proc kind spec workload =
   Serve.Protocol.request ?jobs:tele.jobs ?chunk:tele.chunk ?cache:tele.cache
-    ?backend:tele.backend ?seed:tele.seed ?timeout_s ?telemetry
+    ?seed:tele.seed ?timeout_s ?telemetry
     ~proc:proc.Technology.Process.name ~kind ~spec workload
 
 let emit_json tele req =
@@ -775,7 +747,7 @@ let serve_cmd =
          & info [ "executors" ] ~docv:"N"
              ~doc:"Concurrent executor domains (default min(4, cores)): \
                    up to $(docv) jobs run at once, each with its own \
-                   context-local cache/backend/telemetry flags, sharing \
+                   context-local cache/telemetry flags, sharing \
                    the domain pool and warm memo caches.")
   in
   let run tele socket tcp queue_limit max_frame job_timeout executors =

@@ -4,18 +4,15 @@ type t = {
   chunk : int option;
   cache : bool option;
   telemetry : bool option;
-  backend : Sim.Stamps.backend option;
   label : string option;
   deadline : float option;
   cancel : bool Atomic.t;
   seed : int option;
 }
 
-let make ?jobs ?chunk ?cache ?telemetry ?backend ?label ?deadline ?cancel ?seed
-    proc =
+let make ?jobs ?chunk ?cache ?telemetry ?label ?deadline ?cancel ?seed proc =
   let cancel = match cancel with Some c -> c | None -> Atomic.make false in
-  { proc; jobs; chunk; cache; telemetry; backend; label; deadline; cancel;
-    seed }
+  { proc; jobs; chunk; cache; telemetry; label; deadline; cancel; seed }
 
 let with_timeout timeout_s ctx =
   match timeout_s with
@@ -90,7 +87,6 @@ let scope ctx f =
        re-installs these bindings around every chunk it runs for us. *)
     with_opt Cache.Config.with_enabled c.cache @@ fun () ->
     with_opt Obs.Config.with_enabled c.telemetry @@ fun () ->
-    with_opt Sim.Stamps.with_default_backend c.backend @@ fun () ->
     let labelled () =
       match c.label with
       | None -> f ()

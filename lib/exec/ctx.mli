@@ -31,9 +31,6 @@ type t = {
       (** force memo caches on/off; [None] = leave {!Cache.Config} alone *)
   telemetry : bool option;
       (** force telemetry on/off; [None] = leave {!Obs.Config} alone *)
-  backend : Sim.Stamps.backend option;
-      (** linear-solver backend for every analysis in scope; [None] =
-          leave {!Sim.Stamps.default_backend} alone *)
   label : string option;
       (** when set, {!scope} wraps the work in a root [exec] span named
           [label], so profiler paths and flamegraphs group everything
@@ -59,7 +56,6 @@ type t = {
 
 val make :
   ?jobs:int -> ?chunk:int -> ?cache:bool -> ?telemetry:bool ->
-  ?backend:Sim.Stamps.backend ->
   ?label:string ->
   ?deadline:float ->
   ?cancel:bool Atomic.t ->
@@ -112,8 +108,8 @@ val proc : ?override:Technology.Process.t -> t option -> Technology.Process.t
     sites still compile. *)
 
 val scope : t option -> (unit -> 'a) -> ('a, exn) result
-(** [scope ctx f] runs [f] with the context's cache, telemetry and
-    backend switches bound {e context-locally} on the calling domain
+(** [scope ctx f] runs [f] with the context's cache and telemetry
+    switches bound {e context-locally} on the calling domain
     ([None] fields leave the outer binding or global visible), restored
     afterwards even on exceptions.  Nothing global is written: globals
     are unchanged during and after the scope, and concurrent scopes

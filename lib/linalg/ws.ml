@@ -58,88 +58,6 @@ let real n =
     count_acquire false;
     ws
 
-type sreal = {
-  swork : float array;
-  spos : int array;
-  scand : int array;
-  scand_key : int array;
-  scand_slot : int array;
-  sy : float array;
-  srhs : float array;
-  sdelta : float array;
-}
-
-let sreal_key : (int, sreal) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
-let sparse_real n =
-  let tbl = Domain.DLS.get sreal_key in
-  match Hashtbl.find_opt tbl n with
-  | Some ws ->
-    count_acquire true;
-    ws
-  | None ->
-    let ws =
-      {
-        swork = Array.make n 0.0;
-        spos = Array.make n (-1);
-        scand = Array.make n 0;
-        scand_key = Array.make n 0;
-        scand_slot = Array.make n 0;
-        sy = Array.make n 0.0;
-        srhs = Array.make n 0.0;
-        sdelta = Array.make n 0.0;
-      }
-    in
-    Hashtbl.add tbl n ws;
-    count_acquire false;
-    ws
-
-type scx = {
-  cwork_re : float array;
-  cwork_im : float array;
-  cpos : int array;
-  ccand : int array;
-  ccand_key : int array;
-  ccand_slot : int array;
-  cy_re : float array;
-  cy_im : float array;
-  sb_re : float array;
-  sb_im : float array;
-  sx_re : float array;
-  sx_im : float array;
-}
-
-let scx_key : (int, scx) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
-let sparse_cx n =
-  let tbl = Domain.DLS.get scx_key in
-  match Hashtbl.find_opt tbl n with
-  | Some ws ->
-    count_acquire true;
-    ws
-  | None ->
-    let ws =
-      {
-        cwork_re = Array.make n 0.0;
-        cwork_im = Array.make n 0.0;
-        cpos = Array.make n (-1);
-        ccand = Array.make n 0;
-        ccand_key = Array.make n 0;
-        ccand_slot = Array.make n 0;
-        cy_re = Array.make n 0.0;
-        cy_im = Array.make n 0.0;
-        sb_re = Array.make n 0.0;
-        sb_im = Array.make n 0.0;
-        sx_re = Array.make n 0.0;
-        sx_im = Array.make n 0.0;
-      }
-    in
-    Hashtbl.add tbl n ws;
-    count_acquire false;
-    ws
-
 let cx_key : (int, cx) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4)
 

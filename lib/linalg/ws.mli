@@ -30,47 +30,9 @@ type cx = {
           frequency/system since, and re-factors transparently *)
 }
 
-type sreal = {
-  swork : float array;  (** scatter workspace for up-looking rows *)
-  spos : int array;  (** column -> slot map; kept all [-1] between uses *)
-  scand : int array;  (** pivot-candidate physical rows *)
-  scand_key : int array;  (** candidate virtual indices (scan order) *)
-  scand_slot : int array;  (** candidate value slots *)
-  sy : float array;  (** permuted solve intermediate *)
-  srhs : float array;  (** caller-side residual / right-hand side *)
-  sdelta : float array;  (** caller-side solution *)
-}
-(** Scratch of a sparse real factor/solve ({!Sparse.Real}).  The
-    LU values live in the factor handle — only size-[n] scratch is
-    pooled here, so any number of live factors share one workspace per
-    domain without interfering. *)
-
-type scx = {
-  cwork_re : float array;
-  cwork_im : float array;
-  cpos : int array;
-  ccand : int array;
-  ccand_key : int array;
-  ccand_slot : int array;
-  cy_re : float array;
-  cy_im : float array;
-  sb_re : float array;  (** caller-side split right-hand side *)
-  sb_im : float array;
-  sx_re : float array;  (** caller-side split solution *)
-  sx_im : float array;
-}
-(** Split-plane scratch of a sparse complex factor/solve
-    ({!Sparse.Cx}). *)
-
 val real : int -> real
 (** The calling domain's real workspace for [n] unknowns (created on
     first use, reused after). *)
 
 val cx : int -> cx
 (** The calling domain's complex workspace for [n] unknowns. *)
-
-val sparse_real : int -> sreal
-(** The calling domain's sparse real scratch for [n] unknowns. *)
-
-val sparse_cx : int -> scx
-(** The calling domain's sparse complex scratch for [n] unknowns. *)

@@ -6,7 +6,7 @@
    returns [None] when the calling domain has no binding, which callers
    treat as "fall back to the process-global default" — that split is
    what lets a concurrent job service run N jobs with conflicting
-   cache/backend/telemetry switches on one daemon.
+   cache/telemetry switches on one daemon.
 
    Every fluid created through [make] also registers itself in a global
    registry so [capture] can snapshot *all* current bindings of the

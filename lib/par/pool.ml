@@ -89,7 +89,7 @@ type batch = {
   bt_items : int -> int; (* item count of chunk [ci], for cost feedback *)
   bt_cost : int; (* cost-class histogram index, -1 for none *)
   bt_fluids : Obs.Fluid.snapshot;
-  (* the submitter's context-local bindings (cache/backend/telemetry
+  (* the submitter's context-local bindings (cache/telemetry
      switches), re-installed around every chunk so dynamic scope follows
      the work onto whichever domain runs it — worker, thief or helping
      caller.  Captured once per batch. *)

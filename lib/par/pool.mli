@@ -52,7 +52,7 @@
     {!worker_stats}.
 
     {b Context propagation.}  Each batch captures the submitter's
-    context-local bindings ({!Obs.Fluid.capture}: cache/backend/
+    context-local bindings ({!Obs.Fluid.capture}: cache and
     telemetry switches) and re-installs them around every chunk on
     whichever domain runs it, so a scope's configuration follows its
     work through stealing and caller-helps.  Two concurrent batches

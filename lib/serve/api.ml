@@ -304,7 +304,7 @@ let run_workload ?cancel (r : P.request) proc =
   let ctx =
     Exec.Ctx.with_timeout r.P.timeout_s
       (Exec.Ctx.make ?jobs:r.P.jobs ?chunk:r.P.chunk ?cache:r.P.cache
-         ?backend:r.P.backend ?seed:r.P.seed
+         ?seed:r.P.seed
          ?telemetry:(if r.P.telemetry then Some true else None)
          ~label:(P.workload_name r.P.workload) ?cancel proc)
   in

@@ -3,7 +3,7 @@
     --format json]) and every {!Server} executor domain call this exact
     function, which is what makes a served job and a CLI run provably
     the same code path.  All execution switches the request carries
-    (cache/backend/telemetry) are applied as context-local bindings by
+    (cache/telemetry) are applied as context-local bindings by
     [Exec.Ctx.scope] inside the workload runners, so concurrent
     [execute] calls on different domains never observe each other's
     configuration.

@@ -26,16 +26,15 @@ type request = {
   jobs : int option;
   chunk : int option;
   cache : bool option;
-  backend : Sim.Stamps.backend option;
   seed : int option;
   timeout_s : float option;
   telemetry : bool;
 }
 
 let request ?(id = 0) ?(proc = "c06") ?(kind = Device.Model.Bsim_lite)
-    ?(spec = Comdiac.Spec.paper_ota) ?jobs ?chunk ?cache ?backend ?seed
+    ?(spec = Comdiac.Spec.paper_ota) ?jobs ?chunk ?cache ?seed
     ?timeout_s ?(telemetry = false) workload =
-  { id; workload; proc; kind; spec; jobs; chunk; cache; backend; seed;
+  { id; workload; proc; kind; spec; jobs; chunk; cache; seed;
     timeout_s; telemetry }
 
 let workload_name = function
@@ -145,7 +144,6 @@ let request_to_json r =
     opt "jobs" (fun j -> J.Num (float_of_int j)) r.jobs
     @ opt "chunk" (fun c -> J.Num (float_of_int c)) r.chunk
     @ opt "cache" (fun b -> J.Bool b) r.cache
-    @ opt "backend" (fun b -> J.Str (Sim.Stamps.backend_name b)) r.backend
     @ opt "seed" (fun s -> J.Num (float_of_int s)) r.seed
   in
   J.Obj
@@ -366,7 +364,7 @@ let spec_of_json = function
 
 let ctx_of_json json =
   match json with
-  | None -> Ok (None, None, None, None, None)
+  | None -> Ok (None, None, None, None)
   | Some cj ->
     let opt_int name =
       match field name cj with
@@ -382,17 +380,20 @@ let ctx_of_json json =
       | Some (J.Bool b) -> Ok (Some b)
       | Some _ -> Error "ctx.cache must be a boolean"
     in
-    let* backend =
+    (* The solver switch was removed; older clients still send it.  The
+       dense kernel is the only solver, so "kernel" is accepted as a
+       no-op and anything else is refused rather than silently ignored. *)
+    let* () =
       match field "backend" cj with
-      | None | Some J.Null -> Ok None
-      | Some (J.Str s) ->
-        (match Sim.Stamps.backend_of_string s with
-         | Ok b -> Ok (Some b)
-         | Error msg -> Error msg)
-      | Some _ -> Error "ctx.backend must be a string"
+      | None | Some J.Null -> Ok ()
+      | Some (J.Str s) when String.lowercase_ascii s = "kernel" -> Ok ()
+      | Some _ ->
+        Error
+          "ctx.backend was removed: every analysis runs on the dense \
+           kernel (omit the field or send \"kernel\")"
     in
     let* seed = opt_int "seed" in
-    Ok (jobs, chunk, cache, backend, seed)
+    Ok (jobs, chunk, cache, seed)
 
 let request_of_json json =
   let* api = str_field "api" json in
@@ -416,7 +417,7 @@ let request_of_json json =
       | None -> Error (Printf.sprintf "unknown model %S (level1|bsim-lite)" model)
     in
     let* spec = spec_of_json (field "spec" json) in
-    let* jobs, chunk, cache, backend, seed = ctx_of_json (field "ctx" json) in
+    let* jobs, chunk, cache, seed = ctx_of_json (field "ctx" json) in
     let* timeout_s =
       match field "timeout_s" json with
       | None | Some J.Null -> Ok None
@@ -430,7 +431,7 @@ let request_of_json json =
       | Some _ -> Error "telemetry must be a boolean"
     in
     Ok
-      { id; workload; proc; kind; spec; jobs; chunk; cache; backend; seed;
+      { id; workload; proc; kind; spec; jobs; chunk; cache; seed;
         timeout_s; telemetry }
 
 (* The id recoverable from an arbitrary (possibly invalid) request, for

@@ -7,7 +7,7 @@
     Carlo or corner verification, or a cheap diagnostic), the technology
     and model, spec overrides (absent fields keep the paper's Table-1
     values), execution-context flags that map onto a scoped
-    {!Exec.Ctx.t} (jobs/chunk/cache/backend), an optional cooperative
+    {!Exec.Ctx.t} (jobs/chunk/cache/seed), an optional cooperative
     timeout, and a telemetry opt-in.
 
     A {e response} carries a status built on {!Sim.Sim_error.t} (plus
@@ -61,7 +61,6 @@ type request = {
   jobs : int option;
   chunk : int option;
   cache : bool option;
-  backend : Sim.Stamps.backend option;
   seed : int option;
       (** base RNG seed ({!Exec.Ctx.seed}); additive [ctx.seed] wire
           field *)
@@ -74,7 +73,7 @@ type request = {
 val request :
   ?id:int -> ?proc:string -> ?kind:Device.Model.kind ->
   ?spec:Comdiac.Spec.t -> ?jobs:int -> ?chunk:int -> ?cache:bool ->
-  ?backend:Sim.Stamps.backend -> ?seed:int -> ?timeout_s:float ->
+  ?seed:int -> ?timeout_s:float ->
   ?telemetry:bool ->
   workload -> request
 (** Request with CLI-default technology ([c06]), model ([bsim-lite]) and
@@ -117,7 +116,9 @@ val kind_of_string : string -> Device.Model.kind option
 val request_to_json : request -> Obs.Json.t
 val request_of_json : Obs.Json.t -> (request, string) result
 (** Strict decode: version-checked, unknown workloads and ill-typed
-    fields rejected with a message; optional fields get CLI defaults. *)
+    fields rejected with a message; optional fields get CLI defaults.
+    The removed [ctx.backend] field is accepted only as ["kernel"] (a
+    no-op); any other value is rejected. *)
 
 val salvage_id : Obs.Json.t -> int
 (** Best-effort id of an arbitrary (possibly invalid) request document,

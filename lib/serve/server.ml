@@ -4,7 +4,7 @@
    performs admission control; admitted jobs go onto per-connection
    queues drained in round-robin rotation by a pool of N executor
    DOMAINS.  Executors are domains, not threads, because execution
-   switches (cache/telemetry/backend) are context-local via domain-local
+   switches (cache/telemetry) are context-local via domain-local
    storage (Obs.Fluid) — each executor binds its current job's flags on
    its own domain, so jobs with conflicting flags overlap safely while
    the process-wide Cache.Memo registry, Device.Lut grids and the shared

@@ -7,7 +7,7 @@
 
     {b Executor pool.}  [executors] domains (default [min 4 cores])
     run jobs concurrently.  Executors are OCaml {e domains}, not
-    threads: execution switches (cache/backend/telemetry) are
+    threads: execution switches (cache/telemetry) are
     context-local in domain-local storage ([Obs.Fluid], bound by
     [Exec.Ctx.scope]), so one domain per concurrently-running job is
     exactly what isolates two jobs with conflicting flags.  Per-job

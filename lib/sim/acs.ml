@@ -14,19 +14,6 @@ type stamp = {
   irhs : (node * node * float) list;        (* current p -> n, magnitude *)
 }
 
-type sparse_net = {
-  spat : Linalg.Sparse.pattern;
-  base_re : float array;
-  base_im : float array;
-      (* frequency-independent planes in slot order, mirroring [build_base]'s
-         accumulation sequence position by position *)
-  cap_slot : int array;
-  cap_re : float array;  (* 0.0 on diagonals, -0.0 off-diagonal *)
-  cap_c : float array;
-      (* signed capacitance; the imaginary update at angular frequency [w]
-         is [w *. cap_c], reproducing [quad_c]'s [+-(w *. c)] bit for bit *)
-}
-
 type t = {
   idx : Indexing.t;
   stamp : stamp;
@@ -34,10 +21,6 @@ type t = {
       (* frequency-independent part of Y (conductances, vccs, vsource rows,
          gmin diagonal) assembled once; per-frequency factorisation blits
          this and adds only the j w C entries on top *)
-  mutable sparse : sparse_net option;
-      (* CSR twin of [base], built lazily on the first [Sparse] factor.
-         The build is deterministic, so the benign race of two domains
-         filling it concurrently stores structurally identical values. *)
 }
 
 let cx re = { Complex.re; im = 0.0 }
@@ -104,128 +87,6 @@ let build_base idx stamp =
   done;
   y
 
-(* The CSR twin of [build_base]: the same accumulation sequence lands on
-   precomputed slots, plus a flat (slot, re, c) table for the per-frequency
-   j w C updates in [quad_c] append order. *)
-let build_sparse idx stamp =
-  let coords = ref [] in
-  let quad p q =
-    (match p with Some i -> coords := (i, i) :: !coords | None -> ());
-    (match q with Some j -> coords := (j, j) :: !coords | None -> ());
-    match (p, q) with
-    | Some i, Some j -> coords := (i, j) :: (j, i) :: !coords
-    | Some _, None | None, Some _ | None, None -> ()
-  in
-  List.iter (fun (p, q, _) -> quad p q) stamp.conds;
-  List.iter (fun (p, q, _) -> quad p q) stamp.caps;
-  List.iter
-    (fun (op, on, cp, cn, _) ->
-      let out o =
-        match o with
-        | None -> ()
-        | Some i ->
-          (match cp with Some j -> coords := (i, j) :: !coords | None -> ());
-          (match cn with Some j -> coords := (i, j) :: !coords | None -> ())
-      in
-      out op;
-      out on)
-    stamp.vccs;
-  List.iter
-    (fun (k, p, q, _) ->
-      (match p with
-       | Some i -> coords := (i, k) :: (k, i) :: !coords
-       | None -> ());
-      (match q with
-       | Some j -> coords := (j, k) :: (k, j) :: !coords
-       | None -> ()))
-    stamp.vrows;
-  for i = 0 to Indexing.node_count idx - 1 do
-    coords := (i, i) :: !coords
-  done;
-  let spat = Linalg.Sparse.of_coords ~n:(Indexing.size idx) !coords in
-  let slot i j = Linalg.Sparse.slot_exn spat i j in
-  let nnz = Linalg.Sparse.nnz spat in
-  let base_re = Array.make nnz 0.0 and base_im = Array.make nnz 0.0 in
-  let add i j ~re ~im =
-    let s = slot i j in
-    base_re.(s) <- base_re.(s) +. re;
-    base_im.(s) <- base_im.(s) +. im
-  in
-  let quad_s p q ~re ~im =
-    (match p with Some i -> add i i ~re ~im | None -> ());
-    (match q with Some j -> add j j ~re ~im | None -> ());
-    match (p, q) with
-    | Some i, Some j ->
-      add i j ~re:(-.re) ~im:(-.im);
-      add j i ~re:(-.re) ~im:(-.im)
-    | Some _, None | None, Some _ | None, None -> ()
-  in
-  List.iter (fun (p, q, g) -> quad_s p q ~re:g ~im:0.0) stamp.conds;
-  List.iter
-    (fun (op, on, cp, cn, gm) ->
-      let add_out out sign =
-        match out with
-        | None -> ()
-        | Some i ->
-          (match cp with
-           | Some j ->
-             if sign then add i j ~re:gm ~im:0.0
-             else add i j ~re:(-.gm) ~im:(-0.0)
-           | None -> ());
-          (match cn with
-           | Some j ->
-             if sign then add i j ~re:(-.gm) ~im:(-0.0)
-             else add i j ~re:gm ~im:0.0
-           | None -> ())
-      in
-      add_out op true;
-      add_out on false)
-    stamp.vccs;
-  List.iter
-    (fun (k, p, q, _ac) ->
-      (match p with
-       | Some i ->
-         add i k ~re:1.0 ~im:0.0;
-         add k i ~re:1.0 ~im:0.0
-       | None -> ());
-      (match q with
-       | Some j ->
-         add j k ~re:(-1.0) ~im:(-0.0);
-         add k j ~re:(-1.0) ~im:(-0.0)
-       | None -> ()))
-    stamp.vrows;
-  for i = 0 to Indexing.node_count idx - 1 do
-    add i i ~re:1e-15 ~im:0.0
-  done;
-  let ct = ref [] in
-  List.iter
-    (fun (p, q, c) ->
-      (match p with Some i -> ct := (slot i i, 0.0, c) :: !ct | None -> ());
-      (match q with Some j -> ct := (slot j j, 0.0, c) :: !ct | None -> ());
-      match (p, q) with
-      | Some i, Some j ->
-        ct := (slot i j, -0.0, -.c) :: !ct;
-        ct := (slot j i, -0.0, -.c) :: !ct
-      | Some _, None | None, Some _ | None, None -> ())
-    stamp.caps;
-  let entries = Array.of_list (List.rev !ct) in
-  {
-    spat;
-    base_re;
-    base_im;
-    cap_slot = Array.map (fun (s, _, _) -> s) entries;
-    cap_re = Array.map (fun (_, re, _) -> re) entries;
-    cap_c = Array.map (fun (_, _, c) -> c) entries;
-  }
-
-let sparse_of net =
-  match net.sparse with
-  | Some s -> s
-  | None ->
-    let s = build_sparse net.idx net.stamp in
-    net.sparse <- Some s;
-    s
-
 let prepare dcop =
   let idx = Dcop.indexing dcop in
   let circuit = Dcop.circuit dcop in
@@ -266,7 +127,7 @@ let prepare dcop =
     { conds = !conds; caps = !caps; vccs = !vccs; vrows = !vrows;
       irhs = !irhs }
   in
-  { idx; stamp; base = build_base idx stamp; sparse = None }
+  { idx; stamp; base = build_base idx stamp }
 
 type factored =
   | F_ref of { net : t; lu : C.lu }
@@ -281,15 +142,10 @@ type factored =
              migrated to a different domain — the solve transparently
              re-factors first *)
     }
-  | F_sparse of { net : t; fact : Linalg.Sparse.Cx.t }
-      (* the factor handle owns its LU values, so the handle stays valid
-         for any number of solves regardless of what other frequencies
-         are factored in between *)
 
 let net_of = function
   | F_ref { net; _ } -> net
   | F_ws { net; _ } -> net
-  | F_sparse { net; _ } -> net
 
 let assemble net ~freq =
   let n = Indexing.size net.idx in
@@ -355,42 +211,12 @@ let factor_ws net (ws : Linalg.Ws.cx) ~freq =
 
 let factor ?backend net ~freq =
   if (Obs.Config.enabled ()) then Obs.Metrics.incr "sim.acs.factorizations";
-  let backend =
-    match backend with Some b -> b | None -> Stamps.default_backend ()
-  in
-  match backend with
+  match Option.value backend ~default:Stamps.Kernel with
   | Stamps.Reference -> F_ref { net; lu = C.lu_factor (assemble net ~freq) }
   | Stamps.Kernel ->
     let ws = Linalg.Ws.cx (Indexing.size net.idx) in
     factor_ws net ws ~freq;
     F_ws { net; freq; ws; serial = ws.Linalg.Ws.serial }
-  | Stamps.Sparse ordering ->
-    let snet = sparse_of net in
-    let vre = Array.copy snet.base_re and vim = Array.copy snet.base_im in
-    let w = 2.0 *. Float.pi *. freq in
-    for k = 0 to Array.length snet.cap_slot - 1 do
-      let s = Array.unsafe_get snet.cap_slot k in
-      Array.unsafe_set vre s
-        (Array.unsafe_get vre s +. Array.unsafe_get snet.cap_re k);
-      Array.unsafe_set vim s
-        (Array.unsafe_get vim s +. (w *. Array.unsafe_get snet.cap_c k))
-    done;
-    let refactored ordering =
-      let fact =
-        Linalg.Sparse.Cx.create (Linalg.Sparse.symbolic ordering snet.spat)
-      in
-      Linalg.Sparse.Cx.refactor fact ~re:vre ~im:vim;
-      fact
-    in
-    let fact =
-      try refactored ordering
-      with Linalg.Singular _ when ordering = Linalg.Sparse.Min_degree ->
-        (* numerically zero pivot under the static order; the pivoting
-           natural-order factor decides singularity instead *)
-        if (Obs.Config.enabled ()) then Obs.Metrics.incr "sim.acs.pivot_fallbacks";
-        refactored Linalg.Sparse.Natural
-    in
-    F_sparse { net; fact }
 
 let factor_result ?backend net ~freq =
   match factor ?backend net ~freq with
@@ -428,7 +254,7 @@ let ensure_ws t =
       r.serial <- ws.Linalg.Ws.serial
     end;
     ws
-  | F_ref _ | F_sparse _ -> invalid_arg "Acs.ensure_ws"
+  | F_ref _ -> invalid_arg "Acs.ensure_ws"
 
 let solve_ws net (ws : Linalg.Ws.cx) =
   Dc.lu_solve_into ws.Linalg.Ws.y ~piv:ws.Linalg.Ws.cpiv
@@ -439,9 +265,8 @@ let solve_ws net (ws : Linalg.Ws.cx) =
     { Complex.re = ws.Linalg.Ws.x_re.(i); im = ws.Linalg.Ws.x_im.(i) })
 
 (* Same right-hand side as [rhs_sources], written componentwise into the
-   caller's split buffers — the dense path passes the workspace planes,
-   the sparse path its per-domain scratch (the imaginary parts of all AC
-   sources are zero). *)
+   workspace's split planes (the imaginary parts of all AC sources are
+   zero). *)
 let fill_sources net ~b_re ~b_im =
   let n = Indexing.size net.idx in
   Array.fill b_re 0 n 0.0;
@@ -457,17 +282,6 @@ let fill_sources net ~b_re ~b_im =
       b_im.(k) <- 0.0)
     net.stamp.vrows
 
-(* Solve the sparse factor over the per-domain split scratch; [fill]
-   writes the right-hand side into the scratch [b] planes. *)
-let solve_sparse net fact ~fill =
-  let n = Indexing.size net.idx in
-  let sws = Linalg.Ws.sparse_cx n in
-  fill ~b_re:sws.Linalg.Ws.sb_re ~b_im:sws.Linalg.Ws.sb_im;
-  Linalg.Sparse.Cx.solve_into fact ~b_re:sws.Linalg.Ws.sb_re
-    ~b_im:sws.Linalg.Ws.sb_im ~x_re:sws.Linalg.Ws.sx_re
-    ~x_im:sws.Linalg.Ws.sx_im;
-  sws
-
 let solve_sources f =
   if (Obs.Config.enabled ()) then Obs.Metrics.incr "sim.acs.solves";
   match f with
@@ -476,10 +290,6 @@ let solve_sources f =
     let ws = ensure_ws f in
     fill_sources net ~b_re:ws.Linalg.Ws.b_re ~b_im:ws.Linalg.Ws.b_im;
     solve_ws net ws
-  | F_sparse { net; fact } ->
-    let sws = solve_sparse net fact ~fill:(fill_sources net) in
-    Array.init (Indexing.size net.idx) (fun i ->
-      { Complex.re = sws.Linalg.Ws.sx_re.(i); im = sws.Linalg.Ws.sx_im.(i) })
 
 let fill_injection net ~p ~n ~b_re ~b_im =
   let nn = Indexing.size net.idx in
@@ -509,10 +319,6 @@ let solve_injection f ~p ~n =
     let ws = ensure_ws f in
     fill_injection net ~p ~n ~b_re:ws.Linalg.Ws.b_re ~b_im:ws.Linalg.Ws.b_im;
     solve_ws net ws
-  | F_sparse { net; fact } ->
-    let sws = solve_sparse net fact ~fill:(fill_injection net ~p ~n) in
-    Array.init (Indexing.size net.idx) (fun i ->
-      { Complex.re = sws.Linalg.Ws.sx_re.(i); im = sws.Linalg.Ws.sx_im.(i) })
 
 let voltage net x name =
   match Indexing.node_index net.idx name with
@@ -534,14 +340,6 @@ let injection_gain2 f ~p ~n ~out =
      | None -> 0.0
      | Some o ->
        let re = ws.Linalg.Ws.x_re.(o) and im = ws.Linalg.Ws.x_im.(o) in
-       (re *. re) +. (im *. im))
-  | F_sparse { net; fact } ->
-    if (Obs.Config.enabled ()) then Obs.Metrics.incr "sim.acs.solves";
-    let sws = solve_sparse net fact ~fill:(fill_injection net ~p ~n) in
-    (match Indexing.node_index net.idx out with
-     | None -> 0.0
-     | Some o ->
-       let re = sws.Linalg.Ws.sx_re.(o) and im = sws.Linalg.Ws.sx_im.(o) in
        (re *. re) +. (im *. im))
 
 let observe_transfer t0 =

@@ -12,11 +12,7 @@
     capacitor list; under the default [Kernel] backend each sweep point
     blits the precomputed base into a reusable per-domain workspace
     ({!Linalg.Ws.cx}), adds only the [j w C] entries and factors in
-    place — results are bit-identical to the [Reference] functor path.
-    Under a [Sparse] backend the same base/capacitor split lives in CSR
-    slot arrays: each sweep point blits the base planes, updates only the
-    [j w C] slots and numerically refactors over the shared symbolic
-    analysis ([Sparse Natural] stays bit-identical to [Kernel]). *)
+    place — results are bit-identical to the [Reference] functor path. *)
 
 type t
 (** Prepared linear network. *)
@@ -32,8 +28,8 @@ type factored
 
 val factor : ?backend:Stamps.backend -> t -> freq:float -> factored
 (** Raises [Linalg.Singular] when Y(w) loses rank (floating node,
-    degenerate source loop).  [backend] defaults to
-    {!Stamps.default_backend}.  Thin wrapper over {!factor_result}. *)
+    degenerate source loop).  [backend] defaults to [Kernel].  Thin
+    wrapper over {!factor_result}. *)
 
 val factor_result :
   ?backend:Stamps.backend -> t -> freq:float -> (factored, Sim_error.t) result

@@ -15,11 +15,9 @@ val solve :
   Netlist.Circuit.t -> t
 (** Solve for the operating point.  [guess] seeds node voltages (nodes not
     covered start at 0 V); the sizing tool passes its intended bias point
-    here.  [backend] selects the linear solver (default
-    {!Stamps.default_backend}: [Kernel] is the unboxed in-place workspace
-    path, [Reference] the boxed functor solver, [Sparse] the CSR
-    symbolic/numeric-split solver — [Kernel], [Reference] and
-    [Sparse Natural] produce bit-identical results).  [gmin] is the
+    here.  [backend] selects the linear solver (default [Kernel], the
+    unboxed in-place workspace path; [Reference] is the boxed functor
+    oracle, bit-identical to it).  [gmin] is the
     conductance to ground left on every node at convergence (default
     [1e-12]); the gmin-stepping ladder relaxes down to it.  Raises
     [Phys.Numerics.No_convergence] when every continuation strategy

@@ -2,52 +2,9 @@ module R = Linalg.Real
 module Df = Linalg.Dense_f
 module Mdl = Device.Model
 
-type backend = Kernel | Reference | Sparse of Linalg.Sparse.ordering
+type backend = Kernel | Reference
 
-let backend_of_string s =
-  match String.lowercase_ascii s with
-  | "kernel" -> Ok Kernel
-  | "reference" -> Ok Reference
-  | "sparse" | "sparse-min-degree" -> Ok (Sparse Linalg.Sparse.Min_degree)
-  | "sparse-natural" -> Ok (Sparse Linalg.Sparse.Natural)
-  | _ ->
-    Error
-      (Printf.sprintf
-         "unknown backend %S (expected kernel, reference, sparse or \
-          sparse-natural)" s)
-
-let backend_name = function
-  | Kernel -> "kernel"
-  | Reference -> "reference"
-  | Sparse Linalg.Sparse.Min_degree -> "sparse"
-  | Sparse Linalg.Sparse.Natural -> "sparse-natural"
-
-(* Default backend, selectable without code changes (LOSAC_BACKEND /
-   --backend / Exec.Ctx); unrecognized env values fall back to [Kernel]
-   like the other LOSAC_* switches.  Resolution order inside an
-   analysis: explicit [?backend] > context-local binding
-   ([with_default_backend], domain-local) > [global] > [Kernel]. *)
-let global : backend ref =
-  ref
-    (match Sys.getenv_opt "LOSAC_BACKEND" with
-     | Some s -> (match backend_of_string s with Ok b -> b | Error _ -> Kernel)
-     | None -> Kernel)
-
-let local : backend Obs.Fluid.t = Obs.Fluid.make ()
-
-let default_backend () =
-  match Obs.Fluid.get local with Some b -> b | None -> !global
-
-let set_default_backend b = global := b
-
-let with_default_backend b f = Obs.Fluid.with_value local b f
-
-type smat = { spat : Linalg.Sparse.pattern; svals : float array }
-
-let smat_of_pattern spat =
-  { spat; svals = Array.make (Linalg.Sparse.nnz spat) 0.0 }
-
-type mat = Unboxed of Df.t | Boxed of R.t | Csr of smat
+type mat = Unboxed of Df.t | Boxed of R.t
 
 type ctx = {
   idx : Indexing.t;
@@ -68,13 +25,6 @@ let make_ws idx (ws : Linalg.Ws.real) x =
   Array.fill ws.Linalg.Ws.rhs 0 n 0.0;
   { idx; jac = Unboxed ws.Linalg.Ws.jac; f = ws.Linalg.Ws.rhs; x }
 
-let make_sparse idx sm ~f x =
-  let n = Indexing.size idx in
-  assert (Array.length x = n && Array.length f = n);
-  Array.fill sm.svals 0 (Array.length sm.svals) 0.0;
-  Array.fill f 0 n 0.0;
-  { idx; jac = Csr sm; f; x }
-
 (* The single accumulation primitive both backends share: everything below
    stamps through here, so the two matrix representations see the exact
    same sequence of additions and stay bit-identical. *)
@@ -82,12 +32,6 @@ let madd ctx i j v =
   match ctx.jac with
   | Unboxed m -> Df.add_to m i j v
   | Boxed m -> R.add_to m i j v
-  | Csr { spat; svals } ->
-    (* binary-search slot resolution: the general path for name-based
-       stamping (transient re-stamps); the compiled DC loop goes through
-       [run_sparse] with precomputed slots instead *)
-    let s = Linalg.Sparse.slot_exn spat i j in
-    svals.(s) <- svals.(s) +. v
 
 let volt ctx node =
   match Indexing.node_index ctx.idx node with
@@ -267,185 +211,6 @@ let run kind prog ctx ~gmin ~alpha =
         jadd ctx si si (-.gs))
     prog;
   gmin_all ctx gmin
-
-(* ------------------------------------------------------------------ *)
-(* Sparse patterns and slot-resolved programs                          *)
-(* ------------------------------------------------------------------ *)
-
-(* every position a 4-point conductor stamp can touch (ground skipped) *)
-let quad_coords acc pi ni =
-  let acc = if pi >= 0 then (pi, pi) :: acc else acc in
-  let acc = if ni >= 0 then (ni, ni) :: acc else acc in
-  if pi >= 0 && ni >= 0 then (pi, ni) :: (ni, pi) :: acc else acc
-
-let mos_jac_coords acc di gi si bi =
-  let acc = ref acc in
-  let put i j = if i >= 0 && j >= 0 then acc := (i, j) :: !acc in
-  put di gi;
-  put di di;
-  put di bi;
-  put di si;
-  put si gi;
-  put si di;
-  put si bi;
-  put si si;
-  !acc
-
-let vsource_coords acc k pi ni =
-  let acc = if pi >= 0 then (pi, k) :: (k, pi) :: acc else acc in
-  if ni >= 0 then (ni, k) :: (k, ni) :: acc else acc
-
-let diag_coords acc idx =
-  let acc = ref acc in
-  for i = 0 to Indexing.node_count idx - 1 do
-    acc := (i, i) :: !acc
-  done;
-  !acc
-
-let dc_pattern idx prog =
-  let acc = ref [] in
-  Array.iter
-    (fun pe ->
-      match pe with
-      | P_resistor { pi; ni; _ } -> acc := quad_coords !acc pi ni
-      | P_isource _ -> ()
-      | P_vsource { row; pi; ni; _ } -> acc := vsource_coords !acc row pi ni
-      | P_mos { di; gi; si; bi; _ } -> acc := mos_jac_coords !acc di gi si bi)
-    prog;
-  Linalg.Sparse.of_coords ~n:(Indexing.size idx) (diag_coords !acc idx)
-
-(* The transient pattern includes every position the backward-Euler
-   companions can reach: capacitor conductor quads and the five MOS
-   cap-pair quads, unconditionally — a bias-dependent capacitance may be
-   zero at one time step and nonzero at the next, and the pattern is
-   frozen for the whole run. *)
-let tran_pattern idx circuit =
-  let module El = Netlist.Element in
-  let ridx name =
-    match Indexing.node_index idx name with None -> -1 | Some i -> i
-  in
-  let acc = ref [] in
-  List.iter
-    (fun e ->
-      match e with
-      | El.Resistor { p; n; _ } | El.Capacitor { p; n; _ } ->
-        acc := quad_coords !acc (ridx p) (ridx n)
-      | El.Isource _ -> ()
-      | El.Vsource { name; p; n; _ } ->
-        acc :=
-          vsource_coords !acc (Indexing.vsource_index idx name) (ridx p)
-            (ridx n)
-      | El.Mos { d; g; s; b; _ } ->
-        let di = ridx d and gi = ridx g and si = ridx s and bi = ridx b in
-        acc := mos_jac_coords !acc di gi si bi;
-        acc := quad_coords !acc gi si;
-        acc := quad_coords !acc gi di;
-        acc := quad_coords !acc gi bi;
-        acc := quad_coords !acc di bi;
-        acc := quad_coords !acc si bi)
-    (Netlist.Circuit.elements circuit);
-  Linalg.Sparse.of_coords ~n:(Indexing.size idx) (diag_coords !acc idx)
-
-(* Slot-resolved stamp program: every Jacobian write of [run] mapped to
-   its CSR slot at compile time, so the sparse Newton hot loop indexes
-   straight into the value array — no lookups of any kind. *)
-type sprog = {
-  sprog_p : prog;
-  eslots : int array array;  (* per element, in [run]'s write order; -1 = ground-skipped *)
-  dslots : int array;  (* gmin diagonal slot per node row *)
-}
-
-let compile_slots pat idx prog =
-  let sl i j = if i >= 0 && j >= 0 then Linalg.Sparse.slot_exn pat i j else -1 in
-  let eslots =
-    Array.map
-      (fun pe ->
-        match pe with
-        | P_resistor { pi; ni; _ } ->
-          [| sl pi pi; sl pi ni; sl ni ni; sl ni pi |]
-        | P_isource _ -> [||]
-        | P_vsource { row; pi; ni; _ } ->
-          [| sl pi row; sl ni row; sl row pi; sl row ni |]
-        | P_mos { di; gi; si; bi; _ } ->
-          [| sl di gi; sl di di; sl di bi; sl di si;
-             sl si gi; sl si di; sl si bi; sl si si |])
-      prog
-  in
-  { sprog_p = prog;
-    eslots;
-    dslots = Array.init (Indexing.node_count idx) (fun i -> sl i i) }
-
-let sadd vals s v =
-  if s >= 0 then Array.unsafe_set vals s (Array.unsafe_get vals s +. v)
-
-(* The slot-resolved twin of [run]: same element order, same FP sequence,
-   every accumulation landing on the same logical position in the same
-   order — so natural-ordering sparse solves stay bit-identical to the
-   dense backends.  Kept in sync with [run] by construction (the residual
-   arithmetic is untouched; only [jadd]s become direct slot writes). *)
-let run_sparse kind sp ctx ~gmin ~alpha =
-  let vals =
-    match ctx.jac with
-    | Csr sm -> sm.svals
-    | Unboxed _ | Boxed _ -> invalid_arg "Stamps.run_sparse: not a Csr context"
-  in
-  Array.iteri
-    (fun ei pe ->
-      let sl = sp.eslots.(ei) in
-      match pe with
-      | P_resistor { pi; ni; g } ->
-        let i = (g *. (xat ctx pi -. xat ctx ni)) +. 0.0 in
-        fadd ctx pi i;
-        fadd ctx ni (-.i);
-        sadd vals sl.(0) g;
-        sadd vals sl.(1) (-.g);
-        sadd vals sl.(2) g;
-        sadd vals sl.(3) (-.g)
-      | P_isource { pi; ni; i } ->
-        let v = alpha *. i in
-        fadd ctx pi v;
-        fadd ctx ni (-.v)
-      | P_vsource { row = k; pi; ni; v } ->
-        fadd ctx pi ctx.x.(k);
-        fadd ctx ni (-.(ctx.x.(k)));
-        sadd vals sl.(0) 1.0;
-        sadd vals sl.(1) (-1.0);
-        ctx.f.(k) <- xat ctx pi -. xat ctx ni -. (alpha *. v);
-        sadd vals sl.(2) 1.0;
-        sadd vals sl.(3) (-1.0)
-      | P_mos { dev; card; sgn; di; gi; si; bi } ->
-        let vd = xat ctx di
-        and vg = xat ctx gi
-        and vs = xat ctx si
-        and vb = xat ctx bi in
-        let bias =
-          { Mdl.vgs = sgn *. (vg -. vs);
-            vds = sgn *. (vd -. vs);
-            vbs = sgn *. (vb -. vs) }
-        in
-        let e =
-          Mdl.evaluate_exact kind card ~w:dev.Device.Mos.w ~l:dev.Device.Mos.l
-            bias
-        in
-        let id_phys = sgn *. e.Mdl.ids in
-        fadd ctx di id_phys;
-        fadd ctx si (-.id_phys);
-        let gm = e.Mdl.gm and gds = e.Mdl.gds and gmb = e.Mdl.gmb in
-        let gs = -.(gm +. gds +. gmb) in
-        sadd vals sl.(0) gm;
-        sadd vals sl.(1) gds;
-        sadd vals sl.(2) gmb;
-        sadd vals sl.(3) gs;
-        sadd vals sl.(4) (-.gm);
-        sadd vals sl.(5) (-.gds);
-        sadd vals sl.(6) (-.gmb);
-        sadd vals sl.(7) (-.gs))
-    sp.sprog_p;
-  for i = 0 to Array.length sp.dslots - 1 do
-    ctx.f.(i) <- ctx.f.(i) +. (gmin *. ctx.x.(i));
-    let s = sp.dslots.(i) in
-    vals.(s) <- vals.(s) +. gmin
-  done
 
 let mos proc kind ctx ~dev ~d ~g ~s ~b =
   let vd = volt ctx d and vg = volt ctx g and vs = volt ctx s and vb = volt ctx b in

@@ -2,54 +2,22 @@
     and transient): residual accumulation (KCL currents leaving each node)
     and Jacobian entries.  The AC analysis uses its own complex assembly.
 
-    Two matrix backends sit behind the same stamping calls: the unboxed
-    flat-[floatarray] kernel matrix ({!Linalg.Dense_f}, the default hot
-    path, stamped into a reusable per-domain workspace) and the boxed
-    functor matrix ({!Linalg.Real}, the reference).  Both receive the
-    identical sequence of accumulations, so solver results agree
-    bit-for-bit between backends. *)
+    One production matrix sits behind the stamping calls: the unboxed
+    flat-[floatarray] kernel matrix ({!Linalg.Dense_f}), stamped into a
+    reusable per-domain workspace.  The boxed functor matrix
+    ({!Linalg.Real}) is its test oracle: both receive the identical
+    sequence of accumulations, so solver results agree bit-for-bit. *)
 
-type backend = Kernel | Reference | Sparse of Linalg.Sparse.ordering
-(** Solver backend selector threaded through the analyses: [Kernel] is the
-    unboxed in-place workspace path, [Reference] the original boxed
-    functor path kept for verification and benchmarking baselines, and
-    [Sparse] the CSR symbolic/numeric-split solver ({!Linalg.Sparse}) —
-    [Sparse Natural] is bit-identical to [Kernel], [Sparse Min_degree]
-    is the fill-reducing performance mode. *)
-
-val backend_of_string : string -> (backend, string) result
-(** Parse ["kernel"], ["reference"], ["sparse"] (min-degree) or
-    ["sparse-natural"] (case-insensitive). *)
-
-val backend_name : backend -> string
-
-val default_backend : unit -> backend
-(** The effective default backend used when an analysis gets no
-    explicit [?backend]: the calling domain's context-local binding
-    ({!with_default_backend}) if one is active, the process-wide
-    global otherwise.  Resolution order:
-    {e [?backend] override > ctx binding > global > [Kernel]}.
-    The global is initialised from [LOSAC_BACKEND] ([Kernel]
-    when unset or unrecognized). *)
-
-val set_default_backend : backend -> unit
-(** Set the process-global fallback (CLI startup, [--backend]). *)
-
-val with_default_backend : backend -> (unit -> 'a) -> 'a
-(** Context-local override of the default backend on the calling domain
-    (exception-safe; never touches the global).  Propagated to pool
-    worker domains per batch by [Par.Pool]. *)
-
-type smat = { spat : Linalg.Sparse.pattern; svals : float array }
-(** A stamped sparse matrix: the natural-order CSR pattern of the
-    circuit plus its slot-indexed value array. *)
-
-val smat_of_pattern : Linalg.Sparse.pattern -> smat
+type backend = Kernel | Reference
+(** Solver selector of the analyses.  [Kernel] is the unboxed in-place
+    workspace path every analysis uses unless told otherwise;
+    [Reference] is the original boxed functor path, reachable only by
+    passing [~backend:Reference] explicitly (tests and the kernel
+    micro-benchmarks use it as the oracle). *)
 
 type mat =
   | Unboxed of Linalg.Dense_f.t
   | Boxed of Linalg.Real.t
-  | Csr of smat
 
 type ctx = {
   idx : Indexing.t;
@@ -66,13 +34,6 @@ val make_ws : Indexing.t -> Linalg.Ws.real -> float array -> ctx
 (** Stamping context over a reusable workspace: clears the workspace
     matrix and right-hand side and aliases them as [jac]/[f], so repeated
     Newton iterates re-stamp the same buffers without allocating. *)
-
-val make_sparse : Indexing.t -> smat -> f:float array -> float array -> ctx
-(** Stamping context over a sparse matrix: clears the slot values and the
-    caller's residual buffer and aliases them, so repeated iterates
-    re-stamp the same arrays.  Name-based stamps resolve slots by binary
-    search; the compiled DC path uses {!run_sparse} with precomputed
-    slots. *)
 
 val volt : ctx -> string -> float
 val add_current : ctx -> string -> float -> unit
@@ -122,24 +83,3 @@ val run : Device.Model.kind -> prog -> ctx -> gmin:float -> alpha:float -> unit
 (** Stamp one Newton iterate: residual and Jacobian of the full circuit
     at the context's [x], with all independent sources scaled by [alpha]
     and [gmin] to ground on every node. *)
-
-val dc_pattern : Indexing.t -> prog -> Linalg.Sparse.pattern
-(** Every Jacobian position a DC Newton iterate of the program can
-    touch, including the gmin node diagonals. *)
-
-val tran_pattern : Indexing.t -> Netlist.Circuit.t -> Linalg.Sparse.pattern
-(** The DC positions plus every backward-Euler companion position
-    (capacitor quads and the five MOS cap pairs), frozen for a whole
-    transient run regardless of bias-dependent capacitance values. *)
-
-type sprog
-(** A slot-resolved stamp program: every Jacobian write of {!run} mapped
-    to its CSR slot at compile time. *)
-
-val compile_slots : Linalg.Sparse.pattern -> Indexing.t -> prog -> sprog
-
-val run_sparse :
-  Device.Model.kind -> sprog -> ctx -> gmin:float -> alpha:float -> unit
-(** The sparse twin of {!run} over a [Csr] context: identical element
-    order and floating-point sequence, with each Jacobian accumulation
-    landing on its precomputed slot (zero lookups in the hot loop). *)

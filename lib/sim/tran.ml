@@ -51,13 +51,13 @@ let build proc kind circuit idx ~gmin ~time ~dt ~prev ctx =
 
 let max_abs a = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 a
 
-let newton_step backend sparse proc kind circuit idx ~gmin ~time ~dt ~prev x0 =
+let newton_step backend proc kind circuit idx ~gmin ~time ~dt ~prev x0 =
   let n = Indexing.size idx in
   let x = Array.copy x0 in
   let ws =
     match backend with
     | Stamps.Kernel -> Some (Linalg.Ws.real n)
-    | Stamps.Reference | Stamps.Sparse _ -> None
+    | Stamps.Reference -> None
   in
   let rec loop iter =
     if iter >= 80 then
@@ -65,12 +65,9 @@ let newton_step backend sparse proc kind circuit idx ~gmin ~time ~dt ~prev x0 =
                (Printf.sprintf "Tran: Newton failed at t=%g" time))
     else begin
       let ctx =
-        match ws, sparse with
-        | Some w, _ -> Stamps.make_ws idx w x
-        | None, Some (sm, _) ->
-          Stamps.make_sparse idx sm ~f:(Linalg.Ws.sparse_real n).Linalg.Ws.srhs
-            x
-        | None, None -> Stamps.make idx x
+        match ws with
+        | Some w -> Stamps.make_ws idx w x
+        | None -> Stamps.make idx x
       in
       build proc kind circuit idx ~gmin ~time ~dt ~prev ctx;
       let f = ctx.Stamps.f in
@@ -86,42 +83,6 @@ let newton_step backend sparse proc kind circuit idx ~gmin ~time ~dt ~prev x0 =
               ~b:w.Linalg.Ws.rhs ~x:w.Linalg.Ws.delta;
             w.Linalg.Ws.delta
           | Stamps.Boxed m, _ -> R.solve m (Array.map (fun v -> -.v) f)
-          | Stamps.Csr sm, _ ->
-            let fact =
-              match sparse with Some (_, fact) -> fact | None -> assert false
-            in
-            for i = 0 to n - 1 do
-              Array.unsafe_set f i (-.(Array.unsafe_get f i))
-            done;
-            let sws = Linalg.Ws.sparse_real n in
-            let fallback () =
-              (* the static pivot order failed numerically at this
-                 iterate — a zero pivot (e.g. exact cancellation across a
-                 0 V feedback source) or overflow through a tiny one;
-                 retry the same values under the pivoting natural-order
-                 factor of the same pattern *)
-              if (Obs.Config.enabled ()) then
-                Obs.Metrics.incr "sim.tran.pivot_fallbacks";
-              let nfact =
-                Linalg.Sparse.Real.create
-                  (Linalg.Sparse.symbolic Linalg.Sparse.Natural
-                     sm.Stamps.spat)
-              in
-              Linalg.Sparse.Real.refactor nfact ~vals:sm.Stamps.svals;
-              Linalg.Sparse.Real.solve_into nfact ~b:f
-                ~x:sws.Linalg.Ws.sdelta
-            in
-            let is_md = backend = Stamps.Sparse Linalg.Sparse.Min_degree in
-            (try
-               Linalg.Sparse.Real.refactor fact ~vals:sm.Stamps.svals;
-               Linalg.Sparse.Real.solve_into fact ~b:f
-                 ~x:sws.Linalg.Ws.sdelta
-             with Linalg.Singular _ when is_md -> fallback ());
-            if is_md
-               && not
-                    (Array.for_all Float.is_finite sws.Linalg.Ws.sdelta)
-            then fallback ();
-            sws.Linalg.Ws.sdelta
           | Stamps.Unboxed _, None -> assert false
         with Linalg.Singular _ ->
           raise (Phys.Numerics.No_convergence
@@ -152,23 +113,11 @@ let circuit_at_t0 circuit =
 let run ?backend ?dt ?(guess = fun _ -> None) ?(gmin = 1e-12) ~proc ~kind
     ~tstop circuit =
   assert (tstop > 0.0);
-  let backend =
-    match backend with Some b -> b | None -> Stamps.default_backend ()
-  in
+  let backend = Option.value backend ~default:Stamps.Kernel in
   let dt = match dt with Some d -> d | None -> tstop /. 2000.0 in
   let n_steps = int_of_float (Float.ceil (tstop /. dt)) in
   let dc = Dcop.solve ~backend ~guess ~gmin ~proc ~kind (circuit_at_t0 circuit) in
   let idx = Dcop.indexing dc in
-  (* The companion pattern is bias-independent, so the symbolic analysis
-     is shared by every Newton iterate of every time step. *)
-  let sparse =
-    match backend with
-    | Stamps.Sparse ordering ->
-      let pat = Stamps.tran_pattern idx circuit in
-      let sym = Linalg.Sparse.symbolic ordering pat in
-      Some (Stamps.smat_of_pattern pat, Linalg.Sparse.Real.create sym)
-    | Stamps.Kernel | Stamps.Reference -> None
-  in
   let x0 =
     Array.init (Indexing.size idx) (fun i ->
       if i < Indexing.node_count idx then
@@ -181,7 +130,7 @@ let run ?backend ?dt ?(guess = fun _ -> None) ?(gmin = 1e-12) ~proc ~kind
   for step = 1 to n_steps do
     let time = ts.(step) in
     let x =
-      newton_step backend sparse proc kind circuit idx ~gmin ~time ~dt
+      newton_step backend proc kind circuit idx ~gmin ~time ~dt
         ~prev:!prev !prev
     in
     states.(step) <- x;

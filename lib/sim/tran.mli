@@ -21,11 +21,8 @@ val run :
 (** Simulate from a DC operating point at t = 0 (computed with sources at
     their [wave 0] / DC values) to [tstop].  [dt] defaults to
     [tstop / 2000].  [backend] selects the linear solver as in
-    {!Dcop.solve} (default {!Stamps.default_backend}); [Kernel],
-    [Reference] and [Sparse Natural] are bit-identical.  Under [Sparse]
-    the companion-circuit pattern and its symbolic factorisation are
-    computed once and numerically refactored at every Newton iterate of
-    every step.  [gmin] (default [1e-12]) is the conductance to ground
+    {!Dcop.solve} (default [Kernel]; [Reference] is bit-identical).
+    [gmin] (default [1e-12]) is the conductance to ground
     stamped on every node, both at the t = 0 operating point and during
     integration. *)
 

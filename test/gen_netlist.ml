@@ -1,4 +1,4 @@
-(* Random connected netlists shared by the solver-backend property tests.
+(* Random connected netlists shared by the solver property tests.
 
    A resistor spanning tree rooted at ground guarantees every node has a
    DC path to ground; on top of it a seeded mix of extra resistors,

@@ -164,25 +164,6 @@ let test_layout_report_sanity () =
   | None -> Alcotest.fail "tail net missing from report"
   | Some s -> Alcotest.(check bool) "tail well cap" true (s.Plan.well_cap > 0.0)
 
-(* --- sparse solver backend, end to end ----------------------------------- *)
-
-let strip_elapsed r = { r with Flow.elapsed = 0.0 }
-
-let test_sparse_flow_identity () =
-  (* the full synthesis flow under the sparse natural-order backend must
-     be structurally identical to the dense kernel run (only the
-     wall-clock field may differ); caches are off so the second run
-     cannot answer from memos computed by the first *)
-  let run backend =
-    Sim.Stamps.with_default_backend backend @@ fun () ->
-    Cache.Config.with_enabled false @@ fun () ->
-    Flow.run ~proc ~kind ~spec Flow.Case2
-  in
-  let k = run Sim.Stamps.Kernel in
-  let s = run (Sim.Stamps.Sparse Linalg.Sparse.Natural) in
-  Alcotest.(check bool) "sparse-natural flow == kernel flow" true
-    (compare (strip_elapsed k) (strip_elapsed s) = 0)
-
 (* --- traditional flow --------------------------------------------------------- *)
 
 let test_traditional_flow () =
@@ -210,6 +191,5 @@ let suite =
       case "case error ordering" test_case_ordering;
       case "extracted netlist details" test_extracted_amp_details;
       case "layout report sanity" test_layout_report_sanity;
-      case "sparse backend flow identity" test_sparse_flow_identity;
       case "traditional flow comparison" test_traditional_flow;
     ] )

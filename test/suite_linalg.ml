@@ -234,230 +234,6 @@ let test_workspace_zero_alloc () =
        words)
     true (words <= 64.0)
 
-(* --- CSR sparse solver ------------------------------------------------- *)
-
-module Sp = Linalg.Sparse
-
-(* random sparse system over an explicit pattern; the dense twin holds
-   exact zeros outside the pattern, so the natural-order sparse solve
-   must reproduce the dense kernel bit for bit.  [dominant] forces a
-   dominant full diagonal (always solvable, which is what the statically
-   pivoted min-degree mode is specified for). *)
-let random_sparse_system ?(dominant = false) n seed =
-  let st = Random.State.make [| 0x5A; seed; n |] in
-  let entries = ref [] in
-  let add i j v = entries := ((i, j), v) :: !entries in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i = j then begin
-        if dominant then
-          add i j (float_of_int n +. 1.0 +. Random.State.float st 1.0)
-        else if Random.State.float st 1.0 < 0.8 then
-          add i j (Random.State.float st 2.0 -. 1.0)
-      end
-      else if Random.State.float st 1.0 < 0.35 then
-        add i j (Random.State.float st 2.0 -. 1.0)
-    done;
-    (* keep every row structurally non-empty *)
-    if not (List.exists (fun ((r, _), _) -> r = i) !entries) then
-      add i i (1.0 +. Random.State.float st 1.0)
-  done;
-  let pat = Sp.of_coords ~n (List.map fst !entries) in
-  let sv = Array.make (Sp.nnz pat) 0.0 in
-  let rows = Array.make_matrix n n 0.0 in
-  List.iter
-    (fun ((i, j), v) ->
-      sv.(Sp.slot_exn pat i j) <- v;
-      rows.(i).(j) <- v)
-    !entries;
-  let b = Array.init n (fun _ -> Random.State.float st 10.0 -. 5.0) in
-  (pat, sv, rows, b)
-
-let sparse_real_solve ordering pat sv b =
-  let fact = Sp.Real.create (Sp.symbolic ordering pat) in
-  Sp.Real.refactor fact ~vals:sv;
-  let x = Array.make (Array.length b) 0.0 in
-  Sp.Real.solve_into fact ~b ~x;
-  x
-
-let prop_sparse_natural_bit_identical =
-  QCheck.Test.make
-    ~name:"sparse natural ordering bit-identical to dense kernel" ~count:200
-    QCheck.(pair (int_range 1 20) (int_range 0 100000))
-    (fun (n, seed) ->
-      let pat, sv, rows, b = random_sparse_system n seed in
-      match kernel_real_solve rows b with
-      | x -> (
-        match sparse_real_solve Sp.Natural pat sv b with
-        | y -> Array.for_all2 bits_eq x y
-        | exception Linalg.Singular _ -> false)
-      | exception Linalg.Singular k -> (
-        match sparse_real_solve Sp.Natural pat sv b with
-        | _ -> false
-        | exception Linalg.Singular k' -> k = k'))
-
-let close_rel a b =
-  Float.abs (a -. b)
-  <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
-
-let prop_sparse_min_degree_close =
-  QCheck.Test.make
-    ~name:"sparse min-degree within 1e-9 of dense kernel" ~count:200
-    QCheck.(pair (int_range 1 20) (int_range 0 100000))
-    (fun (n, seed) ->
-      let pat, sv, rows, b = random_sparse_system ~dominant:true n seed in
-      let x = kernel_real_solve rows b in
-      match sparse_real_solve Sp.Min_degree pat sv b with
-      | y -> Array.for_all2 close_rel x y
-      | exception Linalg.Singular _ ->
-        (* the static order rejected the pivot sequence (growth guard);
-           the contract is fallback to the natural order, which must then
-           reproduce the dense kernel exactly *)
-        let y = sparse_real_solve Sp.Natural pat sv b in
-        Array.for_all2 bits_eq x y)
-
-let random_sparse_cx_system n seed =
-  let st = Random.State.make [| 0xC5; seed; n |] in
-  let e () = Random.State.float st 2.0 -. 1.0 in
-  let entries = ref [] in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let p = if i = j then 0.8 else 0.35 in
-      if Random.State.float st 1.0 < p then begin
-        let re = e () in
-        entries := ((i, j), { Complex.re; im = e () }) :: !entries
-      end
-    done;
-    if not (List.exists (fun ((r, _), _) -> r = i) !entries) then begin
-      let re = 1.0 +. Random.State.float st 1.0 in
-      entries := ((i, i), { Complex.re; im = e () }) :: !entries
-    end
-  done;
-  let pat = Sp.of_coords ~n (List.map fst !entries) in
-  let re = Array.make (Sp.nnz pat) 0.0 in
-  let im = Array.make (Sp.nnz pat) 0.0 in
-  let rows = Array.make_matrix n n Complex.zero in
-  List.iter
-    (fun ((i, j), (v : Complex.t)) ->
-      let s = Sp.slot_exn pat i j in
-      re.(s) <- v.Complex.re;
-      im.(s) <- v.Complex.im;
-      rows.(i).(j) <- v)
-    !entries;
-  let b =
-    Array.init n (fun _ ->
-      let bre = e () in
-      { Complex.re = bre; im = e () })
-  in
-  (pat, re, im, rows, b)
-
-let sparse_cx_solve ordering pat re im b =
-  let n = Array.length b in
-  let fact = Sp.Cx.create (Sp.symbolic ordering pat) in
-  Sp.Cx.refactor fact ~re ~im;
-  let b_re = Array.map (fun (v : Complex.t) -> v.Complex.re) b in
-  let b_im = Array.map (fun (v : Complex.t) -> v.Complex.im) b in
-  let x_re = Array.make n 0.0 and x_im = Array.make n 0.0 in
-  Sp.Cx.solve_into fact ~b_re ~b_im ~x_re ~x_im;
-  Array.init n (fun i -> { Complex.re = x_re.(i); im = x_im.(i) })
-
-let prop_sparse_cx_natural_bit_identical =
-  QCheck.Test.make
-    ~name:"sparse complex natural ordering bit-identical to dense kernel"
-    ~count:100
-    QCheck.(pair (int_range 1 14) (int_range 0 100000))
-    (fun (n, seed) ->
-      let pat, re, im, rows, b = random_sparse_cx_system n seed in
-      let eq (u : Complex.t) (v : Complex.t) =
-        bits_eq u.Complex.re v.Complex.re && bits_eq u.Complex.im v.Complex.im
-      in
-      match kernel_cx_solve rows b with
-      | x -> (
-        match sparse_cx_solve Sp.Natural pat re im b with
-        | y -> Array.for_all2 eq x y
-        | exception Linalg.Singular _ -> false)
-      | exception Linalg.Singular k -> (
-        match sparse_cx_solve Sp.Natural pat re im b with
-        | _ -> false
-        | exception Linalg.Singular k' -> k = k'))
-
-let test_sparse_slots () =
-  let pat = Sp.of_coords ~n:2 [ (1, 0); (0, 1); (0, 1); (1, 1) ] in
-  Alcotest.(check int) "duplicates merged" 3 (Sp.nnz pat);
-  Alcotest.(check bool) "present entry found" true (Sp.slot pat 0 1 >= 0);
-  Alcotest.(check int) "absent entry" (-1) (Sp.slot pat 0 0);
-  match Sp.slot_exn pat 0 0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "slot_exn: expected Invalid_argument"
-
-let test_sparse_pivoting () =
-  (* zero diagonal everywhere: natural must virtually row-swap exactly
-     like the dense kernel; min-degree's maximum transversal finds the
-     off-diagonal pivots structurally *)
-  let pat = Sp.of_coords ~n:2 [ (0, 1); (1, 0) ] in
-  let sv = Array.make 2 0.0 in
-  sv.(Sp.slot_exn pat 0 1) <- 1.0;
-  sv.(Sp.slot_exn pat 1 0) <- 1.0;
-  let b = [| 2.0; 3.0 |] in
-  let x = sparse_real_solve Sp.Natural pat sv b in
-  check_close "natural x0" 3.0 x.(0);
-  check_close "natural x1" 2.0 x.(1);
-  let y = sparse_real_solve Sp.Min_degree pat sv b in
-  check_close "min-degree x0" 3.0 y.(0);
-  check_close "min-degree x1" 2.0 y.(1)
-
-let test_sparse_singular_identical () =
-  let rows = [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
-  let pat = Sp.of_coords ~n:2 [ (0, 0); (0, 1); (1, 0); (1, 1) ] in
-  let sv = Array.make 4 0.0 in
-  Array.iteri
-    (fun i row ->
-      Array.iteri (fun j v -> sv.(Sp.slot_exn pat i j) <- v) row)
-    rows;
-  let k_ref =
-    match kernel_real_solve rows [| 1.0; 1.0 |] with
-    | _ -> Alcotest.fail "dense: expected Singular"
-    | exception Linalg.Singular k -> k
-  in
-  match sparse_real_solve Sp.Natural pat sv [| 1.0; 1.0 |] with
-  | _ -> Alcotest.fail "sparse: expected Singular"
-  | exception Linalg.Singular k ->
-    Alcotest.(check int) "same failing column" k_ref k
-
-(* Refactoring and solving over live handles must stay off the minor
-   heap up to a small per-call bookkeeping constant — a backend boxing
-   matrix elements would allocate tens of thousands of words here. *)
-let test_sparse_refactor_zero_alloc () =
-  Obs.Config.with_enabled false @@ fun () ->
-  let n = 16 in
-  let pat, sv, _rows, b = random_sparse_system ~dominant:true n 7 in
-  let nat = Sp.Real.create (Sp.symbolic Sp.Natural pat) in
-  let md = Sp.Real.create (Sp.symbolic Sp.Min_degree pat) in
-  let cx = Sp.Cx.create (Sp.symbolic Sp.Natural pat) in
-  let im = Array.map (fun _ -> 0.1) sv in
-  let b_im = Array.make n 0.0 in
-  let x = Array.make n 0.0 and x_im = Array.make n 0.0 in
-  let step () =
-    Sp.Real.refactor nat ~vals:sv;
-    Sp.Real.solve_into nat ~b ~x;
-    Sp.Real.refactor md ~vals:sv;
-    Sp.Real.solve_into md ~b ~x;
-    Sp.Cx.refactor cx ~re:sv ~im;
-    Sp.Cx.solve_into cx ~b_re:b ~b_im ~x_re:x ~x_im
-  in
-  step ();
-  (* warmed up; now measure *)
-  let before = Gc.minor_words () in
-  for _ = 1 to 100 do
-    step ()
-  done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf
-       "sparse refactor/solve allocated %.0f minor words in 600 calls" words)
-    true
-    (words <= 8192.0)
-
 let random_spd_system n seed =
   (* diagonally dominant random system: always solvable *)
   let st = Random.State.make [| seed |] in
@@ -505,10 +281,6 @@ let suite =
       case "kernel singular agrees with functor" test_kernel_singular_identical;
       case "kernel matvec_into" test_matvec_into;
       case "workspace solves allocate nothing" test_workspace_zero_alloc;
-      case "sparse pattern slots" test_sparse_slots;
-      case "sparse pivoting" test_sparse_pivoting;
-      case "sparse singular agrees with dense" test_sparse_singular_identical;
-      case "sparse refactor allocates nothing" test_sparse_refactor_zero_alloc;
     ]
     @ qcheck_cases
         [
@@ -516,7 +288,4 @@ let suite =
           prop_matvec_linear;
           prop_kernel_real_bit_identical;
           prop_kernel_cx_bit_identical;
-          prop_sparse_natural_bit_identical;
-          prop_sparse_cx_natural_bit_identical;
-          prop_sparse_min_degree_close;
         ] )

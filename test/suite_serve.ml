@@ -74,19 +74,13 @@ let request_gen =
     opt (int_bound 7) >>= fun jobs ->
     opt (int_bound 64) >>= fun chunk ->
     opt bool >>= fun cache ->
-    opt
-      (oneofl
-         [ Sim.Stamps.Kernel; Sim.Stamps.Reference;
-           Sim.Stamps.Sparse Linalg.Sparse.Min_degree;
-           Sim.Stamps.Sparse Linalg.Sparse.Natural ])
-    >>= fun backend ->
     opt (int_bound 9999) >>= fun seed ->
     opt (float_bound_inclusive 10.0) >>= fun timeout_s ->
     bool >>= fun telemetry ->
     return
       (P.request ~id ~proc ~kind
          ~spec:{ Comdiac.Spec.paper_ota with Comdiac.Spec.vdd; gbw }
-         ?jobs ?chunk ?cache ?backend ?seed ?timeout_s ~telemetry workload))
+         ?jobs ?chunk ?cache ?seed ?timeout_s ~telemetry workload))
 
 let prop_request_roundtrip =
   QCheck.Test.make ~name:"requests round-trip through the wire encoding"
@@ -126,6 +120,28 @@ let test_request_decode_errors () =
   (match decode {|{"api":"losac.job/1","workload":{"kind":"ping"}}|} with
    | Ok () -> ()
    | Error m -> Alcotest.failf "minimal request rejected: %s" m);
+  (* the removed solver switch: "kernel" is a no-op, anything else is
+     refused with a message naming the removal *)
+  let with_backend v =
+    decode
+      (Printf.sprintf
+         {|{"api":"losac.job/1","workload":{"kind":"ping"},"ctx":{"backend":%s}}|}
+         v)
+  in
+  List.iter
+    (fun v ->
+      match with_backend v with
+      | Ok () -> Alcotest.failf "ctx.backend %s unexpectedly decoded" v
+      | Error m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "ctx.backend %s: message says removed" v)
+          true
+          (String.starts_with ~prefix:"ctx.backend was removed" m))
+    [ {|"sparse"|}; {|"sparse-natural"|}; {|"reference"|}; {|"bogus"|};
+      "1"; "true"; "[]"; "{}" ];
+  (match with_backend {|"kernel"|} with
+   | Ok () -> ()
+   | Error m -> Alcotest.failf "ctx.backend \"kernel\" rejected: %s" m);
   Alcotest.(check int) "salvage_id finds the id" 17
     (P.salvage_id (Result.get_ok (J.parse {|{"id":17,"workload":"?"}|})));
   Alcotest.(check int) "salvage_id defaults to -1" (-1)
@@ -465,15 +481,9 @@ let test_shutdown_drains () =
 
 (* --- context-local execution flags ----------------------------------------- *)
 
-(* The four pairwise-conflicting switch combinations of the tentpole
-   acceptance test: cache on/off x backend kernel/sparse-natural. *)
-let conflict_combos =
-  [
-    (true, Sim.Stamps.Kernel);
-    (false, Sim.Stamps.Kernel);
-    (true, Sim.Stamps.Sparse Linalg.Sparse.Natural);
-    (false, Sim.Stamps.Sparse Linalg.Sparse.Natural);
-  ]
+(* The four pairwise-conflicting switch combinations: cache on/off x
+   pool width 1/2. *)
+let conflict_combos = [ (true, 1); (false, 1); (true, 2); (false, 2) ]
 
 let prop_conflicting_ctx_identity =
   QCheck.Test.make
@@ -485,8 +495,8 @@ let prop_conflicting_ctx_identity =
     (fun base_seed ->
       let reqs =
         List.mapi
-          (fun k (cache, backend) ->
-            P.request ~id:(100 + k) ~cache ~backend
+          (fun k (cache, jobs) ->
+            P.request ~id:(100 + k) ~cache ~jobs
               (P.Mc { n = 2; seed = base_seed + k }))
           conflict_combos
       in
@@ -515,43 +525,27 @@ let test_scope_restores_nothing_global () =
      binding domain sees them again after exit *)
   Cache.Config.set_enabled true;
   Obs.Config.set_enabled false;
-  Sim.Stamps.set_default_backend Sim.Stamps.Kernel;
   let globals_elsewhere () =
     Domain.join
-      (Domain.spawn (fun () ->
-           ( Cache.Config.enabled (),
-             Obs.Config.enabled (),
-             Sim.Stamps.default_backend () )))
+      (Domain.spawn (fun () -> (Cache.Config.enabled (), Obs.Config.enabled ())))
   in
-  let ctx =
-    Exec.Ctx.make ~cache:false ~telemetry:true
-      ~backend:(Sim.Stamps.Sparse Linalg.Sparse.Min_degree) proc
-  in
+  let ctx = Exec.Ctx.make ~cache:false ~telemetry:true proc in
   (match
      Exec.Ctx.scope (Some ctx) (fun () ->
          Alcotest.(check bool) "cache off inside the scope" false
            (Cache.Config.enabled ());
          Alcotest.(check bool) "telemetry on inside the scope" true
            (Obs.Config.enabled ());
-         (match Sim.Stamps.default_backend () with
-          | Sim.Stamps.Sparse Linalg.Sparse.Min_degree -> ()
-          | _ -> Alcotest.fail "backend not bound inside the scope");
-         let c, o, b = globals_elsewhere () in
+         let c, o = globals_elsewhere () in
          Alcotest.(check bool) "other domains: cache global intact" true c;
          Alcotest.(check bool) "other domains: telemetry global intact" false
-           o;
-         match b with
-         | Sim.Stamps.Kernel -> ()
-         | _ -> Alcotest.fail "backend global leaked to another domain")
+           o)
    with
    | Ok () -> ()
    | Error e -> raise e);
   Alcotest.(check bool) "cache global restored" true (Cache.Config.enabled ());
   Alcotest.(check bool) "telemetry global restored" false
-    (Obs.Config.enabled ());
-  match Sim.Stamps.default_backend () with
-  | Sim.Stamps.Kernel -> ()
-  | _ -> Alcotest.fail "backend global not restored after the scope"
+    (Obs.Config.enabled ())
 
 (* --- cancellation ----------------------------------------------------------- *)
 

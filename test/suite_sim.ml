@@ -436,73 +436,38 @@ let test_backend_tran_bit_identical () =
   Alcotest.(check bool) "every time point bit-identical" true
     (Array.for_all2 bits_eq wk wr)
 
-(* --- sparse backend over random connected netlists --------------------- *)
-
-let sparse_nat = Sim.Stamps.Sparse Linalg.Sparse.Natural
-let sparse_md = Sim.Stamps.Sparse Linalg.Sparse.Min_degree
+(* --- kernel vs reference over random connected netlists ----------------
+   The same bit-identity as above, checked over seeded random circuits
+   rather than the pinned ones: every stamp kind, zero-diagonal source
+   rows, and netlists that fail to converge (both backends must then
+   fail alike). *)
 
 let try_dc backend c =
   match Sim.Dcop.solve ~backend ~proc:P.c06 ~kind:M.Level1 c with
   | op -> Some op
   | exception Phys.Numerics.No_convergence _ -> None
 
-let rel_close a b =
-  Float.abs (a -. b)
-  <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
-
-(* Min-degree picks a different elimination order than the dense kernel,
-   so rounding differs by O(cond * eps): an unlucky ill-conditioned
-   random netlist can reach ~1e-7 relative (e.g. (nodes, seed) =
-   (21, 74041) at 10 kHz) with both answers individually fine.  1e-6
-   keeps the property robust to conditioning while still failing hard on
-   any real ordering bug, which produces O(1) errors. *)
-let md_tol = 1e-6
-
-let rel_close_md a b =
-  Float.abs (a -. b)
-  <= md_tol *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
-
-let cx_close_md (a : Complex.t) (b : Complex.t) =
-  Complex.norm (Complex.sub a b) <= md_tol *. Float.max 1.0 (Complex.norm a)
-
-let prop_sparse_dc_bit_identical =
+let prop_kernel_dc_bit_identical =
   QCheck.Test.make ~count:60
-    ~name:"sparse-natural DC bit-identical to kernel on random netlists"
+    ~name:"kernel DC bit-identical to reference on random netlists"
     QCheck.(pair (int_range 2 30) (int_range 0 100000))
     (fun (nodes, seed) ->
       let c, _ = Gen_netlist.make ~nodes ~seed in
-      match (try_dc Sim.Stamps.Kernel c, try_dc sparse_nat c) with
+      match (try_dc Sim.Stamps.Kernel c, try_dc Sim.Stamps.Reference c) with
       | None, None -> true
-      | Some k, Some s ->
-        Sim.Dcop.iterations k = Sim.Dcop.iterations s
+      | Some k, Some r ->
+        Sim.Dcop.iterations k = Sim.Dcop.iterations r
         && Array.for_all
              (fun nd ->
-               bits_eq (Sim.Dcop.voltage k nd) (Sim.Dcop.voltage s nd))
+               bits_eq (Sim.Dcop.voltage k nd) (Sim.Dcop.voltage r nd))
              (Sim.Indexing.node_names (Sim.Dcop.indexing k))
       | _ -> false)
 
-let prop_sparse_dc_min_degree_close =
-  QCheck.Test.make ~count:60
-    ~name:"sparse min-degree DC within 1e-6 of kernel on random netlists"
-    QCheck.(pair (int_range 2 30) (int_range 0 100000))
-    (fun (nodes, seed) ->
-      let c, _ = Gen_netlist.make ~nodes ~seed in
-      match try_dc Sim.Stamps.Kernel c with
-      | None -> true
-      | Some k -> (
-        match try_dc sparse_md c with
-        | None -> false
-        | Some s ->
-          Array.for_all
-            (fun nd ->
-              rel_close_md (Sim.Dcop.voltage k nd) (Sim.Dcop.voltage s nd))
-            (Sim.Indexing.node_names (Sim.Dcop.indexing k))))
-
 let ac_freqs = [ 1.0; 1e4; 1e7; 1e9 ]
 
-let prop_sparse_ac_bit_identical =
+let prop_kernel_ac_bit_identical =
   QCheck.Test.make ~count:40
-    ~name:"sparse-natural AC bit-identical to kernel on random netlists"
+    ~name:"kernel AC bit-identical to reference on random netlists"
     QCheck.(pair (int_range 2 25) (int_range 0 100000))
     (fun (nodes, seed) ->
       let c, out = Gen_netlist.make ~nodes ~seed in
@@ -515,28 +480,11 @@ let prop_sparse_ac_bit_identical =
             let hk =
               Sim.Acs.transfer ~backend:Sim.Stamps.Kernel net ~freq ~out
             in
-            let hs = Sim.Acs.transfer ~backend:sparse_nat net ~freq ~out in
-            bits_eq hk.Complex.re hs.Complex.re
-            && bits_eq hk.Complex.im hs.Complex.im)
-          ac_freqs)
-
-let prop_sparse_ac_min_degree_close =
-  QCheck.Test.make ~count:40
-    ~name:"sparse min-degree AC within 1e-6 of kernel on random netlists"
-    QCheck.(pair (int_range 2 25) (int_range 0 100000))
-    (fun (nodes, seed) ->
-      let c, out = Gen_netlist.make ~nodes ~seed in
-      match try_dc Sim.Stamps.Kernel c with
-      | None -> true
-      | Some op ->
-        let net = Sim.Acs.prepare op in
-        List.for_all
-          (fun freq ->
-            let hk =
-              Sim.Acs.transfer ~backend:Sim.Stamps.Kernel net ~freq ~out
+            let hr =
+              Sim.Acs.transfer ~backend:Sim.Stamps.Reference net ~freq ~out
             in
-            let hs = Sim.Acs.transfer ~backend:sparse_md net ~freq ~out in
-            cx_close_md hk hs)
+            bits_eq hk.Complex.re hr.Complex.re
+            && bits_eq hk.Complex.im hr.Complex.im)
           ac_freqs)
 
 let try_tran backend c =
@@ -546,34 +494,18 @@ let try_tran backend c =
   | r -> Some r
   | exception Phys.Numerics.No_convergence _ -> None
 
-let prop_sparse_tran_bit_identical =
+let prop_kernel_tran_bit_identical =
   QCheck.Test.make ~count:20
-    ~name:"sparse-natural transient bit-identical to kernel on random netlists"
+    ~name:"kernel transient bit-identical to reference on random netlists"
     QCheck.(pair (int_range 2 15) (int_range 0 100000))
     (fun (nodes, seed) ->
       let c, out = Gen_netlist.make ~nodes ~seed in
-      match (try_tran Sim.Stamps.Kernel c, try_tran sparse_nat c) with
+      match (try_tran Sim.Stamps.Kernel c, try_tran Sim.Stamps.Reference c) with
       | None, None -> true
-      | Some k, Some s ->
+      | Some k, Some r ->
         Array.for_all2 bits_eq (Sim.Tran.waveform k out)
-          (Sim.Tran.waveform s out)
+          (Sim.Tran.waveform r out)
       | _ -> false)
-
-let prop_sparse_tran_min_degree_close =
-  QCheck.Test.make ~count:20
-    ~name:"sparse min-degree transient within 1e-6 of kernel on random netlists"
-    QCheck.(pair (int_range 2 15) (int_range 0 100000))
-    (fun (nodes, seed) ->
-      let c, out = Gen_netlist.make ~nodes ~seed in
-      match (try_tran Sim.Stamps.Kernel c, try_tran sparse_md c) with
-      (* unlike the bit-identical natural mode, min-degree Newton iterates
-         legitimately differ in the last bits, so a borderline transient
-         may converge under one backend and not the other — only compare
-         runs that both completed *)
-      | Some k, Some s ->
-        Array.for_all2 rel_close_md (Sim.Tran.waveform k out)
-          (Sim.Tran.waveform s out)
-      | _ -> true)
 
 let edge_cases =
   [
@@ -610,10 +542,7 @@ let suite =
     @ qcheck_cases
         [
           prop_divider_matches_analytic;
-          prop_sparse_dc_bit_identical;
-          prop_sparse_dc_min_degree_close;
-          prop_sparse_ac_bit_identical;
-          prop_sparse_ac_min_degree_close;
-          prop_sparse_tran_bit_identical;
-          prop_sparse_tran_min_degree_close;
+          prop_kernel_dc_bit_identical;
+          prop_kernel_ac_bit_identical;
+          prop_kernel_tran_bit_identical;
         ] )
