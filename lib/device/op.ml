@@ -5,31 +5,32 @@ type t = {
   bias : Model.bias;
 }
 
-(* Caps + geometry assembly shared by the exact and LUT paths. *)
-let finish proc dev bias eval =
+let caps_at proc dev bias eval =
   let vdb_rev = Float.abs (bias.Model.vds -. bias.Model.vbs) in
   let vsb_rev = Float.abs bias.Model.vbs in
   let caps =
     Caps.of_operating_point proc dev.Mos.mtype ~w:dev.Mos.w ~l:dev.Mos.l
       ~style:dev.Mos.style ~region:eval.Model.region ~vdb_rev ~vsb_rev
   in
-  let caps =
-    (* When the extractor supplies as-drawn diffusions, recompute the
-       junction terms from them. *)
-    match dev.Mos.diffusion with
-    | None -> caps
-    | Some g ->
-      let p = Mos.params proc dev in
-      let module E = Technology.Electrical in
-      let junction ~area ~perim ~vrev =
-        Caps.junction_cap ~cj:p.E.cj ~cjsw:p.E.cjsw ~mj:p.E.mj
-          ~mjsw:p.E.mjsw ~pb:p.E.pb ~area ~perim ~vrev
-      in
-      { caps with
-        Caps.cdb = junction ~area:g.Folding.ad ~perim:g.Folding.pd ~vrev:vdb_rev;
-        Caps.csb = junction ~area:g.Folding.as_ ~perim:g.Folding.ps ~vrev:vsb_rev }
-  in
-  { eval; caps; geom = Mos.diffusion_geom proc dev; bias }
+  (* When the extractor supplies as-drawn diffusions, recompute the
+     junction terms from them. *)
+  match dev.Mos.diffusion with
+  | None -> caps
+  | Some g ->
+    let p = Mos.params proc dev in
+    let module E = Technology.Electrical in
+    let junction ~area ~perim ~vrev =
+      Caps.junction_cap ~cj:p.E.cj ~cjsw:p.E.cjsw ~mj:p.E.mj
+        ~mjsw:p.E.mjsw ~pb:p.E.pb ~area ~perim ~vrev
+    in
+    { caps with
+      Caps.cdb = junction ~area:g.Folding.ad ~perim:g.Folding.pd ~vrev:vdb_rev;
+      Caps.csb = junction ~area:g.Folding.as_ ~perim:g.Folding.ps ~vrev:vsb_rev }
+
+(* Caps + geometry assembly shared by the exact and LUT paths. *)
+let finish proc dev bias eval =
+  { eval; caps = caps_at proc dev bias eval; geom = Mos.diffusion_geom proc dev;
+    bias }
 
 let compute proc kind dev bias =
   let p = Mos.params proc dev in

@@ -17,6 +17,12 @@ val compute :
     negative).  Junction reverse biases are taken as |vdb| and |vsb| with
     vdb = vds - vbs and vsb = -vbs. *)
 
+val caps_at : Technology.Process.t -> Mos.t -> Model.bias -> Model.eval -> Caps.t
+(** The capacitance set of {!compute} alone, from an evaluation the caller
+    already holds (only its region is read): no geometry assembly and no
+    model evaluation.  The transient linearises device capacitances with
+    it once per time step. *)
+
 val compute_lut :
   Technology.Process.t -> Model.kind -> Mos.t -> Model.bias -> t
 (** Like {!compute} but evaluates the model through the interpolated

@@ -1,5 +1,3 @@
-module R = Linalg.Real
-
 type t = {
   idx : Indexing.t;
   x : float array;
@@ -27,15 +25,9 @@ exception Diverged
    reusable workspace and factors it in place, so the whole Newton loop
    performs no linear-algebra allocation; [Reference] rebuilds the boxed
    functor system per iterate exactly as the original implementation. *)
-let newton backend kind prog idx ~gmin ~alpha ~max_iter x0 =
-  let n = Indexing.size idx in
-  assert (Array.length x0 = n);
+let newton sv kind prog ~gmin ~alpha ~max_iter x0 =
   let x = Array.copy x0 in
-  let ws =
-    match backend with
-    | Stamps.Kernel -> Some (Linalg.Ws.real n)
-    | Stamps.Reference -> None
-  in
+  let drive = Stamps.dc alpha in
   let step_limit = 0.5 in
   (* local accumulators keep the hot loop free of telemetry lookups *)
   let damped = ref 0 in
@@ -43,28 +35,8 @@ let newton backend kind prog idx ~gmin ~alpha ~max_iter x0 =
   let rec loop iter =
     if iter >= max_iter then raise Diverged
     else begin
-      let ctx =
-        match ws with
-        | Some w -> Stamps.make_ws idx w x
-        | None -> Stamps.make idx x
-      in
-      Stamps.run kind prog ctx ~gmin ~alpha;
-      let f = ctx.Stamps.f in
-      let delta =
-        try
-          match ctx.Stamps.jac, ws with
-          | Stamps.Unboxed m, Some w ->
-            (* RHS is -f; negate the residual buffer in place, then factor
-               and solve into the workspace without allocating *)
-            for i = 0 to n - 1 do
-              Array.unsafe_set f i (-.(Array.unsafe_get f i))
-            done;
-            Linalg.Dense_f.lu_factor_in_place m ~piv:w.Linalg.Ws.piv;
-            Linalg.Dense_f.lu_solve_into m ~piv:w.Linalg.Ws.piv
-              ~b:w.Linalg.Ws.rhs ~x:w.Linalg.Ws.delta;
-            w.Linalg.Ws.delta
-          | Stamps.Boxed m, _ -> R.solve m (Array.map (fun v -> -.v) f)
-          | Stamps.Unboxed _, None -> assert false
+      let delta, res =
+        try Stamps.newton_update sv kind prog ~gmin drive x
         with Linalg.Singular _ -> raise Diverged
       in
       let m = max_abs delta in
@@ -72,7 +44,7 @@ let newton backend kind prog idx ~gmin ~alpha ~max_iter x0 =
       let scale = if m > step_limit then step_limit /. m else 1.0 in
       if scale < 1.0 then Stdlib.incr damped;
       Array.iteri (fun i d -> x.(i) <- x.(i) +. scale *. d) delta;
-      residual := max_abs f;
+      residual := res;
       if m *. scale < 1e-9 && !residual < 1e-9 then (x, iter + 1)
       else loop (iter + 1)
     end
@@ -121,10 +93,11 @@ let solve ?backend ?(guess = fun _ -> None) ?(max_iter = 100) ?(gmin = 1e-12)
   let backend = Option.value backend ~default:Stamps.Kernel in
   let idx = Indexing.build circuit in
   let prog = Stamps.compile proc idx circuit in
+  let sv = Stamps.solver backend (Indexing.size idx) in
   let x0 = initial_guess idx guess in
   let total_iters = ref 0 in
   let attempt ~gmin ~alpha x =
-    let x, it = newton backend kind prog idx ~gmin ~alpha ~max_iter x in
+    let x, it = newton sv kind prog ~gmin ~alpha ~max_iter x in
     total_iters := !total_iters + it;
     x
   in

@@ -1,8 +1,9 @@
-(** Shared MNA stamping primitives for the nonlinear analyses (DC Newton
-    and transient): residual accumulation (KCL currents leaving each node)
-    and Jacobian entries.  The AC analysis uses its own complex assembly.
+(** The compiled MNA stamp program shared by the nonlinear analyses (DC
+    Newton and transient): residual accumulation (KCL currents leaving each
+    node), Jacobian entries and the Newton update.  The AC analysis uses
+    its own complex assembly.
 
-    One production matrix sits behind the stamping calls: the unboxed
+    One production matrix sits behind the stamps: the unboxed
     flat-[floatarray] kernel matrix ({!Linalg.Dense_f}), stamped into a
     reusable per-domain workspace.  The boxed functor matrix
     ({!Linalg.Real}) is its test oracle: both receive the identical
@@ -15,71 +16,51 @@ type backend = Kernel | Reference
     passing [~backend:Reference] explicitly (tests and the kernel
     micro-benchmarks use it as the oracle). *)
 
-type mat =
-  | Unboxed of Linalg.Dense_f.t
-  | Boxed of Linalg.Real.t
-
-type ctx = {
-  idx : Indexing.t;
-  jac : mat;
-  f : float array;
-  x : float array;  (** current iterate *)
-}
-
-val make : Indexing.t -> float array -> ctx
-(** Fresh zeroed boxed Jacobian and residual around iterate [x]
-    (the [Reference] backend). *)
-
-val make_ws : Indexing.t -> Linalg.Ws.real -> float array -> ctx
-(** Stamping context over a reusable workspace: clears the workspace
-    matrix and right-hand side and aliases them as [jac]/[f], so repeated
-    Newton iterates re-stamp the same buffers without allocating. *)
-
-val volt : ctx -> string -> float
-val add_current : ctx -> string -> float -> unit
-(** Accumulate a current leaving the node into the residual. *)
-
-val add_jac : ctx -> string -> string -> float -> unit
-(** [add_jac ctx np nq v]: d(residual at np)/d(voltage at nq) += v;
-    silently skipped when either node is ground. *)
-
-val resistor : ctx -> p:string -> n:string -> r:float -> unit
-
-val conductor : ctx -> p:string -> n:string -> g:float -> i_extra:float -> unit
-(** Linear companion branch: current [g * (vp - vn) + i_extra] from [p] to
-    [n] — used for capacitor companions in transient analysis. *)
-
-val isource : ctx -> p:string -> n:string -> float -> unit
-(** DC current value flowing p -> n through the source. *)
-
-val vsource : ctx -> row:int -> p:string -> n:string -> float -> unit
-(** Ideal voltage source with branch-current unknown at [row]. *)
-
-val gmin_all : ctx -> float -> unit
-
 val device_bias :
   Device.Mos.t -> vd:float -> vg:float -> vs:float -> vb:float -> Device.Model.bias
 (** Internal-polarity bias of a MOS from its node voltages. *)
 
-val mos :
-  Technology.Process.t -> Device.Model.kind -> ctx ->
-  dev:Device.Mos.t -> d:string -> g:string -> s:string -> b:string -> unit
-(** Nonlinear MOS stamp: drain current residual plus gm/gds/gmb Jacobian
-    entries (polarity-independent, see the model documentation). *)
-
 type prog
-(** A compiled DC stamp program: the circuit walk with every node name
-    resolved to its MNA index and per-device model cards fetched once,
-    so Newton iterates perform no string-map lookups.  The program
-    replays the exact accumulation sequence of the name-based stamps
-    above (element order preserved, capacitors open), keeping both
-    backends bit-identical to the uncompiled walk. *)
+(** A compiled stamp program: the circuit walk with every node name
+    resolved to its MNA index and per-device model cards fetched once, so
+    Newton iterates perform no string-map lookups.  Sources keep their
+    {!Netlist.Element.source}, so one program serves both analyses.  The
+    walk keeps the netlist's element order, which fixes the floating-point
+    accumulation order. *)
 
 val compile : Technology.Process.t -> Indexing.t -> Netlist.Circuit.t -> prog
-(** Resolve the circuit against the indexing.  Raises like the
-    name-based stamps on unknown nodes. *)
+(** Resolve the circuit against the indexing.  Raises on unknown
+    voltage-source names. *)
 
-val run : Device.Model.kind -> prog -> ctx -> gmin:float -> alpha:float -> unit
-(** Stamp one Newton iterate: residual and Jacobian of the full circuit
-    at the context's [x], with all independent sources scaled by [alpha]
-    and [gmin] to ground on every node. *)
+type drive
+(** What one Newton iterate stamps besides the devices: source values and
+    capacitor treatment. *)
+
+val dc : float -> drive
+(** [dc alpha]: every independent source at [alpha] times its DC value,
+    capacitors open. *)
+
+val transient :
+  Device.Model.kind -> prog -> time:float -> dt:float -> prev:float array ->
+  drive
+(** One backward-Euler step ending at [time]: sources at their [wave time]
+    (DC value without a waveform), and every capacitance replaced by its
+    companion [i = (c/dt) (v - v_prev)].  MOS capacitances are evaluated
+    here, once per step, at the bias of the previous solution [prev] with
+    the exact (unmemoized) model; the drive then serves every Newton
+    iterate of the step. *)
+
+type solver
+(** A backend bound to a system size; for [Kernel], the calling domain's
+    reusable workspace. *)
+
+val solver : backend -> int -> solver
+
+val newton_update :
+  solver -> Device.Model.kind -> prog -> gmin:float -> drive -> float array ->
+  float array * float
+(** [newton_update sv kind prog ~gmin drive x] stamps the circuit at
+    iterate [x] (with [gmin] to ground on every node) and solves
+    [J delta = -f].  Returns [delta] and the residual's max-norm.  Under
+    [Kernel], [delta] is the workspace buffer: consume it before the next
+    call.  Raises [Linalg.Singular] on a singular Jacobian. *)

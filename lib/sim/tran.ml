@@ -1,6 +1,4 @@
-module R = Linalg.Real
 module El = Netlist.Element
-module SM = Map.Make (String)
 
 type result = {
   ts : float array;
@@ -11,79 +9,19 @@ type result = {
 let source_value (s : El.source) t =
   match s.El.wave with Some w -> w t | None -> s.El.dc
 
-(* Backward-Euler companion: i = (c/dt) (v - v_prev). *)
-let cap_companion ctx ~p ~n ~c ~dt ~vprev =
-  let g = c /. dt in
-  Stamps.conductor ctx ~p ~n ~g ~i_extra:(-.g *. vprev)
-
-let build proc kind circuit idx ~gmin ~time ~dt ~prev ctx =
-  let prev_volt node =
-    match Indexing.node_index idx node with None -> 0.0 | Some i -> prev.(i)
-  in
-  let stamp_elem = function
-    | El.Resistor { p; n; r; _ } -> Stamps.resistor ctx ~p ~n ~r
-    | El.Capacitor { p; n; c; _ } ->
-      cap_companion ctx ~p ~n ~c ~dt ~vprev:(prev_volt p -. prev_volt n)
-    | El.Isource { p; n; i; _ } -> Stamps.isource ctx ~p ~n (source_value i time)
-    | El.Vsource { name; p; n; v; _ } ->
-      let row = Indexing.vsource_index idx name in
-      Stamps.vsource ctx ~row ~p ~n (source_value v time)
-    | El.Mos { dev; d; g; s; b } ->
-      Stamps.mos proc kind ctx ~dev ~d ~g ~s ~b;
-      (* Device capacitances linearised at the previous time point. *)
-      let bias =
-        Stamps.device_bias dev ~vd:(prev_volt d) ~vg:(prev_volt g)
-          ~vs:(prev_volt s) ~vb:(prev_volt b)
-      in
-      let op = Device.Op.compute proc kind dev bias in
-      let cc = op.Device.Op.caps in
-      let pair p n c =
-        if c > 0.0 then cap_companion ctx ~p ~n ~c ~dt ~vprev:(prev_volt p -. prev_volt n)
-      in
-      pair g s cc.Device.Caps.cgs;
-      pair g d cc.Device.Caps.cgd;
-      pair g b cc.Device.Caps.cgb;
-      pair d b cc.Device.Caps.cdb;
-      pair s b cc.Device.Caps.csb
-  in
-  List.iter stamp_elem (Netlist.Circuit.elements circuit);
-  Stamps.gmin_all ctx gmin
-
 let max_abs a = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 a
 
-let newton_step backend proc kind circuit idx ~gmin ~time ~dt ~prev x0 =
-  let n = Indexing.size idx in
-  let x = Array.copy x0 in
-  let ws =
-    match backend with
-    | Stamps.Kernel -> Some (Linalg.Ws.real n)
-    | Stamps.Reference -> None
-  in
+(* Full Newton on one backward-Euler step from [prev]; returns the solution
+   and the iterations it took. *)
+let newton_step sv kind prog ~gmin ~time drive prev =
+  let x = Array.copy prev in
   let rec loop iter =
     if iter >= 80 then
       raise (Phys.Numerics.No_convergence
                (Printf.sprintf "Tran: Newton failed at t=%g" time))
     else begin
-      let ctx =
-        match ws with
-        | Some w -> Stamps.make_ws idx w x
-        | None -> Stamps.make idx x
-      in
-      build proc kind circuit idx ~gmin ~time ~dt ~prev ctx;
-      let f = ctx.Stamps.f in
-      let delta =
-        try
-          match ctx.Stamps.jac, ws with
-          | Stamps.Unboxed m, Some w ->
-            for i = 0 to n - 1 do
-              Array.unsafe_set f i (-.(Array.unsafe_get f i))
-            done;
-            Linalg.Dense_f.lu_factor_in_place m ~piv:w.Linalg.Ws.piv;
-            Linalg.Dense_f.lu_solve_into m ~piv:w.Linalg.Ws.piv
-              ~b:w.Linalg.Ws.rhs ~x:w.Linalg.Ws.delta;
-            w.Linalg.Ws.delta
-          | Stamps.Boxed m, _ -> R.solve m (Array.map (fun v -> -.v) f)
-          | Stamps.Unboxed _, None -> assert false
+      let delta, _ =
+        try Stamps.newton_update sv kind prog ~gmin drive x
         with Linalg.Singular _ ->
           raise (Phys.Numerics.No_convergence
                    (Printf.sprintf "Tran: singular Jacobian at t=%g" time))
@@ -91,7 +29,7 @@ let newton_step backend proc kind circuit idx ~gmin ~time ~dt ~prev x0 =
       let m = max_abs delta in
       let scale = if m > 0.5 then 0.5 /. m else 1.0 in
       Array.iteri (fun i d -> x.(i) <- x.(i) +. scale *. d) delta;
-      if m *. scale < 1e-9 then x else loop (iter + 1)
+      if m *. scale < 1e-9 then (x, iter + 1) else loop (iter + 1)
     end
   in
   loop 0
@@ -126,16 +64,20 @@ let run ?backend ?dt ?(guess = fun _ -> None) ?(gmin = 1e-12) ~proc ~kind
   in
   let states = Array.make (n_steps + 1) x0 in
   let ts = Array.init (n_steps + 1) (fun i -> float_of_int i *. dt) in
-  let prev = ref x0 in
+  let prog = Stamps.compile proc idx circuit in
+  let sv = Stamps.solver backend (Indexing.size idx) in
+  let iters = ref 0 in
   for step = 1 to n_steps do
-    let time = ts.(step) in
-    let x =
-      newton_step backend proc kind circuit idx ~gmin ~time ~dt
-        ~prev:!prev !prev
-    in
-    states.(step) <- x;
-    prev := x
+    let time = ts.(step) and prev = states.(step - 1) in
+    let drive = Stamps.transient kind prog ~time ~dt ~prev in
+    let x, it = newton_step sv kind prog ~gmin ~time drive prev in
+    iters := !iters + it;
+    states.(step) <- x
   done;
+  if Obs.Config.enabled () then begin
+    Obs.Metrics.add "sim.tran.steps" (float_of_int n_steps);
+    Obs.Metrics.add "sim.tran.newton_iters" (float_of_int !iters)
+  end;
   { ts; idx; states }
 
 let times r = r.ts
