@@ -365,13 +365,14 @@ let reader t conn () =
            (match P.request_of_json json with
             | Ok req -> admit t conn req
             | Error _ -> ())
-         | Error _ -> ());
-        Atomic.set conn.alive false
-      | None | (exception _) -> Atomic.set conn.alive false
+         | Error _ -> ())
+      | None | (exception _) -> ()
     end
   in
   loop ();
-  kill conn
+  (* On shutdown a live connection stays writable for the answers of its
+     admitted jobs; [stop] kills it once the executors have drained. *)
+  if not (Atomic.get conn.alive && Atomic.get t.shutdown) then kill conn
 
 (* --- lifecycle --------------------------------------------------------- *)
 

@@ -48,8 +48,8 @@ let circuit_at_t0 circuit =
     (Netlist.Circuit.create ~title:(Netlist.Circuit.title circuit))
     (Netlist.Circuit.elements circuit)
 
-let run ?backend ?dt ?(guess = fun _ -> None) ?(gmin = 1e-12) ~proc ~kind
-    ~tstop circuit =
+let run ?backend ?dt ?(guess = fun _ -> None) ?(gmin = 1e-12)
+    ?(stop = fun _ _ -> false) ~proc ~kind ~tstop circuit =
   assert (tstop > 0.0);
   let backend = Option.value backend ~default:Stamps.Kernel in
   let dt = match dt with Some d -> d | None -> tstop /. 2000.0 in
@@ -67,18 +67,26 @@ let run ?backend ?dt ?(guess = fun _ -> None) ?(gmin = 1e-12) ~proc ~kind
   let prog = Stamps.compile proc idx circuit in
   let sv = Stamps.solver backend (Indexing.size idx) in
   let iters = ref 0 in
-  for step = 1 to n_steps do
-    let time = ts.(step) and prev = states.(step - 1) in
-    let drive = Stamps.transient kind prog ~time ~dt ~prev in
-    let x, it = newton_step sv kind prog ~gmin ~time drive prev in
-    iters := !iters + it;
-    states.(step) <- x
-  done;
+  let rec go step =
+    if step > n_steps then n_steps
+    else begin
+      let time = ts.(step) and prev = states.(step - 1) in
+      let drive = Stamps.transient kind prog ~time ~dt ~prev in
+      let x, it = newton_step sv kind prog ~gmin ~time drive prev in
+      iters := !iters + it;
+      states.(step) <- x;
+      let volt node =
+        match Indexing.node_index idx node with None -> 0.0 | Some i -> x.(i)
+      in
+      if stop time volt then step else go (step + 1)
+    end
+  in
+  let last = go 1 in
   if Obs.Config.enabled () then begin
-    Obs.Metrics.add "sim.tran.steps" (float_of_int n_steps);
+    Obs.Metrics.add "sim.tran.steps" (float_of_int last);
     Obs.Metrics.add "sim.tran.newton_iters" (float_of_int !iters)
   end;
-  { ts; idx; states }
+  { ts = Array.sub ts 0 (last + 1); idx; states = Array.sub states 0 (last + 1) }
 
 let times r = r.ts
 
@@ -91,6 +99,19 @@ let value_at r node t =
   let w = waveform r node in
   let pts = Array.mapi (fun i v -> (r.ts.(i), v)) w in
   Phys.Numerics.interp_linear pts t
+
+let crossing ?(after = 0.0) r node ~level ~falling =
+  let w = waveform r node and ts = r.ts in
+  let past v = if falling then v <= level else v >= level in
+  let rec go i =
+    if i >= Array.length w then None
+    else if ts.(i) < after || not (past w.(i)) then go (i + 1)
+    else if i = 0 || past w.(i - 1) then Some ts.(i)
+    else
+      let frac = (level -. w.(i - 1)) /. (w.(i) -. w.(i - 1)) in
+      Some (ts.(i - 1) +. (frac *. (ts.(i) -. ts.(i - 1))))
+  in
+  go 0
 
 let max_slope r node =
   let w = waveform r node in

@@ -98,62 +98,54 @@ let power t =
   t.spec.Spec.vdd *. Sim.Dcop.supply_current t.dc "dd"
 
 (* Unity-gain follower step: inn strapped to out through a 0 V source, a
-   symmetric step within the output range drives inp. *)
+   step within the output range drives inp.  Each edge is its own short
+   transient from the DC operating point at its start level (v1 for the
+   falling edge, v0 for the rising one), with the step at the first time
+   point.  It stops a quarter slew time after the output passes its 90%
+   level, or after five slew times.  The 10-90% edge timing, with both
+   crossings interpolated between time points, rejects the capacitive
+   feedthrough spike that a raw max-slope measurement would report. *)
 let slew_rate t =
   let spec = t.spec and amp = t.amp in
   let lo, hi = spec.Spec.output_range in
   let v0 = lo +. (0.15 *. (hi -. lo)) and v1 = hi -. (0.15 *. (hi -. lo)) in
   let sr_est = amp.Amp.tail_current /. spec.Spec.cload in
   let t_slew = (v1 -. v0) /. sr_est in
-  (* settled at v1, step down at t1 (falling edge), back up at t2 (rising
-     edge), each with several slew times to settle *)
-  let t1 = 1.0 *. t_slew and t2 = 6.0 *. t_slew in
-  let tstop = 11.0 *. t_slew in
-  let wave t = if t < t1 then v1 else if t < t2 then v0 else v1 in
-  let c = Ckt.create ~title:"slew bench" in
-  let c = Amp.add_to amp c in
-  let c = Ckt.add_vsource c ~name:"dd" ~p:"vdd" ~n:El.ground (El.dc_source spec.Spec.vdd) in
-  let c = Ckt.add_vsource c ~name:"ip" ~p:"inp" ~n:El.ground (El.wave_source ~dc:v1 wave) in
-  let c = Ckt.add_vsource c ~name:"fb" ~p:"inn" ~n:"out" (El.dc_source 0.0) in
-  let c = Ckt.add_capacitor c ~name:"load" ~p:"out" ~n:El.ground ~c:spec.Spec.cload in
-  let extra = [ ("vdd", spec.Spec.vdd); ("inp", v1); ("inn", v1); ("out", v1) ] in
-  let res =
-    Sim.Tran.run ~proc:t.proc ~kind:t.kind ~tstop ~dt:(t_slew /. 200.0)
-      ~guess:(Amp.guess_fn amp ~extra) c
-  in
-  (* 10-90% edge timing rejects the capacitive feedthrough spike that a
-     raw max-slope measurement would report *)
-  let ts = Sim.Tran.times res in
-  let w = Sim.Tran.waveform res "out" in
-  let crossing ~from_i ~level ~falling =
-    let n = Array.length w in
-    let rec go i =
-      if i >= n then None
-      else if (falling && w.(i) <= level) || ((not falling) && w.(i) >= level)
-      then Some ts.(i)
-      else go (i + 1)
+  let edge ~falling =
+    let start, target = if falling then (v1, v0) else (v0, v1) in
+    let wave tm = if tm > 0.0 then target else start in
+    let c = Ckt.create ~title:"slew bench" in
+    let c = Amp.add_to amp c in
+    let c = Ckt.add_vsource c ~name:"dd" ~p:"vdd" ~n:El.ground (El.dc_source spec.Spec.vdd) in
+    let c = Ckt.add_vsource c ~name:"ip" ~p:"inp" ~n:El.ground (El.wave_source ~dc:start wave) in
+    let c = Ckt.add_vsource c ~name:"fb" ~p:"inn" ~n:"out" (El.dc_source 0.0) in
+    let c = Ckt.add_capacitor c ~name:"load" ~p:"out" ~n:El.ground ~c:spec.Spec.cload in
+    let extra =
+      [ ("vdd", spec.Spec.vdd); ("inp", start); ("inn", start); ("out", start) ]
     in
-    go from_i
-  in
-  let idx_of tm =
-    let rec go i = if i >= Array.length ts || ts.(i) >= tm then i else go (i + 1) in
-    go 0
-  in
-  let dv = v1 -. v0 in
-  let edge ~start ~falling =
-    let hi_level = if falling then v1 -. (0.1 *. dv) else v0 +. (0.9 *. dv) in
-    let lo_level = if falling then v1 -. (0.9 *. dv) else v0 +. (0.1 *. dv) in
-    let first = if falling then hi_level else lo_level in
-    let second = if falling then lo_level else hi_level in
-    match crossing ~from_i:(idx_of start) ~level:first ~falling with
+    let level frac = start +. (frac *. (target -. start)) in
+    let past l v = if falling then v <= l else v >= l in
+    let l10 = level 0.1 and l90 = level 0.9 in
+    let crossed = ref None in
+    let stop tm volt =
+      if Option.is_none !crossed && past l90 (volt "out") then crossed := Some tm;
+      match !crossed with Some tc -> tm >= tc +. (0.25 *. t_slew) | None -> false
+    in
+    let res =
+      Sim.Tran.run ~proc:t.proc ~kind:t.kind ~tstop:(5.0 *. t_slew)
+        ~dt:(t_slew /. 200.0) ~guess:(Amp.guess_fn amp ~extra) ~stop c
+    in
+    let crossing ?after level =
+      Sim.Tran.crossing ?after res "out" ~level ~falling
+    in
+    match crossing l10 with
     | None -> None
     | Some ta ->
-      (match crossing ~from_i:(idx_of ta) ~level:second ~falling with
-       | None -> None
-       | Some tb when tb > ta -> Some (0.8 *. dv /. (tb -. ta))
-       | Some _ -> None)
+      (match crossing ~after:ta l90 with
+       | Some tb when tb > ta -> Some (0.8 *. (v1 -. v0) /. (tb -. ta))
+       | Some _ | None -> None)
   in
-  match (edge ~start:t1 ~falling:true, edge ~start:t2 ~falling:false) with
+  match (edge ~falling:true, edge ~falling:false) with
   | Some f, Some r -> Float.min f r
   | Some s, None | None, Some s -> s
   | None, None -> Float.nan

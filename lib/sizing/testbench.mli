@@ -25,8 +25,11 @@ val cmrr : t -> float
 (** Linear ratio Adm / Acm at low frequency. *)
 
 val slew_rate : t -> float
-(** Worst of rising/falling maximum output slope in the unity-gain step
-    bench, V/s. *)
+(** Worst of the rising and falling 10–90% output slopes in the unity-gain
+    step bench, V/s.  Each edge is a short transient of its own from the
+    DC operating point at its start level, stopped a quarter slew time past
+    its 90% crossing; crossing times are interpolated between time
+    points. *)
 
 val input_noise_density : t -> freq:float -> float
 (** Input-referred voltage noise density at [freq], V/sqrt(Hz). *)

@@ -407,7 +407,12 @@ let test_served_oversized_closes_connection () =
   @@ fun _server path ->
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect sock (Unix.ADDR_UNIX path);
-  Serve.Frame.write sock (String.make 1024 'x');
+  (* only the length header of a 1,024-byte frame: it is all the server
+     reads before it refuses the frame and closes, so no payload write can
+     race the close *)
+  let header = Bytes.create 4 in
+  Bytes.set_int32_be header 0 1024l;
+  Alcotest.(check int) "header written" 4 (Unix.write sock header 0 4);
   (match Serve.Frame.read sock with
    | Some payload ->
      (match Result.bind (J.parse payload) P.message_of_json with
@@ -465,18 +470,40 @@ let test_shutdown_drains () =
     Serve.Server.start
       { Serve.Server.default_config with socket_path = Some path }
   in
-  let c = Serve.Client.connect path in
-  Serve.Client.submit c (P.request ~id:21 (P.Sleep { seconds = 0.3 }));
-  Thread.delay 0.05;
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect sock (Unix.ADDR_UNIX path);
+  Serve.Frame.write sock
+    (J.to_string
+       (P.request_to_json (P.request ~id:21 (P.Sleep { seconds = 0.3 }))));
+  let next () =
+    match Serve.Frame.read sock with
+    | None -> Alcotest.fail "server closed the connection"
+    | Some payload ->
+      (match Result.bind (J.parse payload) P.message_of_json with
+       | Ok m -> m
+       | Error m -> Alcotest.failf "bad frame: %s" m)
+  in
+  (* the ack says the job is admitted; only then is it in flight *)
+  let rec await_ack () =
+    match next () with
+    | P.Event (P.Ack { rid = 21; _ }) -> ()
+    | P.Event _ -> await_ack ()
+    | P.Final r -> Alcotest.failf "final before ack: %s" (P.status_string r.P.status)
+  in
+  await_ack ();
   (* stop() blocks until the admitted job has answered *)
   Serve.Server.stop server;
   Alcotest.(check int) "the in-flight job completed" 1
     (Serve.Server.jobs_done server);
-  let r = Serve.Client.await c 21 in
+  let rec final () =
+    match next () with P.Final r -> r | P.Event _ -> final ()
+  in
+  let r = final () in
+  Alcotest.(check int) "final for the drained job" 21 r.P.rid;
   (match r.P.status with
    | P.Done -> ()
    | s -> Alcotest.failf "drained job failed: %s" (P.status_string s));
-  Serve.Client.close c;
+  Unix.close sock;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
 (* --- context-local execution flags ----------------------------------------- *)

@@ -229,6 +229,32 @@ let test_cap_ramp_slope () =
   let rising, _ = Sim.Tran.max_slope res "x" in
   check_close ~rel:0.05 "slew I/C" (i /. cap) rising
 
+let test_crossing_interpolated () =
+  (* the ramp of [test_cap_ramp_slope] at a step so coarse that a grid
+     read could miss by 9% of the 10-90% edge: the interpolated time still
+     matches the analytic one *)
+  let i = 1e-6 and cap = 1e-12 and r = 1e9 in
+  let istep t = if t <= 0.0 then 0.0 else i in
+  let c =
+    Ckt.create ~title:"ramp"
+    |> fun c -> Ckt.add_isource c ~name:"b" ~p:"0" ~n:"x" (El.wave_source istep)
+    |> fun c -> Ckt.add_capacitor c ~name:"1" ~p:"x" ~n:"0" ~c:cap
+    |> fun c -> Ckt.add_resistor c ~name:"big" ~p:"x" ~n:"0" ~r
+  in
+  let res = Sim.Tran.run ~proc:P.c06 ~kind:M.Level1 ~tstop:1e-6 ~dt:7e-8 c in
+  let at level =
+    match Sim.Tran.crossing res "x" ~level ~falling:false with
+    | Some t -> t
+    | None -> Alcotest.failf "no crossing of %g V" level
+  in
+  let analytic v = -.(r *. cap) *. log (1.0 -. (v /. (i *. r))) in
+  check_close ~rel:1e-3 "10-90% time" (analytic 0.9 -. analytic 0.1)
+    (at 0.9 -. at 0.1);
+  Alcotest.(check bool) "level never reached" true
+    (Sim.Tran.crossing res "x" ~level:2.0 ~falling:false = None);
+  Alcotest.(check bool) "nothing after the run" true
+    (Sim.Tran.crossing ~after:2e-6 res "x" ~level:0.5 ~falling:false = None)
+
 let test_settling_time () =
   let r = 1e3 and cap = 1e-9 in
   let step t = if t <= 0.0 then 0.0 else 1.0 in
@@ -536,6 +562,7 @@ let suite =
       case "mos input-referred noise" test_mos_noise_input_referred;
       case "RC step response" test_rc_step;
       case "capacitor ramp slope" test_cap_ramp_slope;
+      case "interpolated ramp crossings" test_crossing_interpolated;
       case "settling time" test_settling_time;
     ]
     @ edge_cases

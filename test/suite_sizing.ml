@@ -232,6 +232,110 @@ let prop_sizing_scales_with_load =
       in
       (c1 < c2) = (size c1 < size c2))
 
+(* --- slew bench against the full-window oracle ------------------------- *)
+
+module El = Netlist.Element
+module Ckt = Netlist.Circuit
+module Flow = Core.Flow
+
+(* The earlier slew bench, kept as the oracle of [Testbench.slew_rate]: one
+   transient over 11 slew times (settled at v1, step down at t_slew, back
+   up at 6 t_slew), with the 10-90% crossings read at time points. *)
+let oracle_slew ~proc ~kind ~spec amp =
+  let lo, hi = spec.Spec.output_range in
+  let v0 = lo +. (0.15 *. (hi -. lo)) and v1 = hi -. (0.15 *. (hi -. lo)) in
+  let t_slew = (v1 -. v0) /. (amp.Comdiac.Amp.tail_current /. spec.Spec.cload) in
+  let t1 = t_slew and t2 = 6.0 *. t_slew in
+  let wave t = if t < t1 then v1 else if t < t2 then v0 else v1 in
+  let c = Comdiac.Amp.add_to amp (Ckt.create ~title:"slew oracle") in
+  let c = Ckt.add_vsource c ~name:"dd" ~p:"vdd" ~n:El.ground (El.dc_source spec.Spec.vdd) in
+  let c = Ckt.add_vsource c ~name:"ip" ~p:"inp" ~n:El.ground (El.wave_source ~dc:v1 wave) in
+  let c = Ckt.add_vsource c ~name:"fb" ~p:"inn" ~n:"out" (El.dc_source 0.0) in
+  let c = Ckt.add_capacitor c ~name:"load" ~p:"out" ~n:El.ground ~c:spec.Spec.cload in
+  let extra = [ ("vdd", spec.Spec.vdd); ("inp", v1); ("inn", v1); ("out", v1) ] in
+  let res =
+    Sim.Tran.run ~proc ~kind ~tstop:(11.0 *. t_slew) ~dt:(t_slew /. 200.0)
+      ~guess:(Comdiac.Amp.guess_fn amp ~extra) c
+  in
+  let ts = Sim.Tran.times res and w = Sim.Tran.waveform res "out" in
+  let n = Array.length w in
+  let rec index_at tm i = if i >= n || ts.(i) >= tm then i else index_at tm (i + 1) in
+  let rec crossing ~level ~falling i =
+    if i >= n then None
+    else if (falling && w.(i) <= level) || ((not falling) && w.(i) >= level)
+    then Some ts.(i)
+    else crossing ~level ~falling (i + 1)
+  in
+  let dv = v1 -. v0 in
+  let edge ~start ~falling =
+    let first, second =
+      if falling then (v1 -. (0.1 *. dv), v1 -. (0.9 *. dv))
+      else (v0 +. (0.1 *. dv), v0 +. (0.9 *. dv))
+    in
+    match crossing ~level:first ~falling (index_at start 0) with
+    | None -> None
+    | Some ta ->
+      (match crossing ~level:second ~falling (index_at ta 0) with
+       | Some tb when tb > ta -> Some (0.8 *. dv /. (tb -. ta))
+       | Some _ | None -> None)
+  in
+  match (edge ~start:t1 ~falling:true, edge ~start:t2 ~falling:false) with
+  | Some f, Some r -> Float.min f r
+  | Some s, None | None, Some s -> s
+  | None, None -> Float.nan
+
+let check_slew_vs_oracle label ~spec amp =
+  let tb = Comdiac.Testbench.make ~proc ~kind ~spec amp in
+  check_close ~rel:0.01 label
+    (oracle_slew ~proc ~kind ~spec amp)
+    (Comdiac.Testbench.slew_rate tb)
+
+let check_flow_slews label ~spec (r : Flow.result) =
+  check_slew_vs_oracle (label ^ " synthesized") ~spec r.Flow.design.FC.amp;
+  check_slew_vs_oracle (label ^ " extracted") ~spec
+    (Flow.extracted_amp proc r.Flow.design r.Flow.report)
+
+let test_slew_oracle_table1 () =
+  List.iter
+    (fun c -> check_flow_slews (Flow.case_label c) ~spec (Flow.run ~proc ~kind ~spec c))
+    Flow.all_cases
+
+(* Seeded points of the GBW 30-100 MHz x C_L 1.5-5 pF lattice; points
+   whose flow fails (the 45 MHz sizing hole) are drawn past. *)
+let test_slew_oracle_lattice () =
+  let st = Random.State.make [| 17 |] in
+  let rec go ok tries =
+    if ok >= 6 || tries >= 30 then ok
+    else begin
+      let gbw = 30.0 +. (5.0 *. float_of_int (Random.State.int st 15)) in
+      let cl = 1.5 +. (0.5 *. float_of_int (Random.State.int st 8)) in
+      let c = List.nth Flow.all_cases (Random.State.int st 4) in
+      let spec = { spec with Spec.gbw = gbw *. 1e6; cload = cl *. 1e-12 } in
+      match Flow.run ~proc ~kind ~spec c with
+      | r ->
+        check_flow_slews
+          (Printf.sprintf "%s @ %g MHz, %g pF" (Flow.case_label c) gbw cl)
+          ~spec r;
+        go (ok + 1) (tries + 1)
+      | exception (Failure _ | Phys.Numerics.No_convergence _) ->
+        go ok (tries + 1)
+    end
+  in
+  Alcotest.(check int) "six lattice points sized" 6 (go 0 0)
+
+(* Each edge stops a quarter slew time past its 90% crossing, so the two
+   edges together take fewer steps than one 5 t_slew settle window each. *)
+let test_slew_early_stop () =
+  let tb = tb_of (Lazy.force design_none) in
+  Obs.Config.with_enabled true (fun () ->
+    Obs.Metrics.reset ();
+    Fun.protect ~finally:Obs.Metrics.reset (fun () ->
+      ignore (Comdiac.Testbench.slew_rate tb);
+      let steps = Obs.Metrics.counter "sim.tran.steps" in
+      check_in_range "steps below two settle windows" 1.0 1999.0 steps;
+      Alcotest.(check bool) "a Newton iteration per step at least" true
+        (Obs.Metrics.counter "sim.tran.newton_iters" >= steps)))
+
 let suite =
   ( "sizing",
     [
@@ -253,5 +357,8 @@ let suite =
       case "power consistency" test_power_consistency;
       case "two-stage topology" test_two_stage;
       case "simple 5T topology" test_simple_ota;
+      case "slew within 1% of the oracle: Table-1 cases" test_slew_oracle_table1;
+      case "slew within 1% of the oracle: lattice points" test_slew_oracle_lattice;
+      case "slew bench stops each edge early" test_slew_early_stop;
     ]
     @ qcheck_cases [ prop_sizing_scales_with_load ] )
