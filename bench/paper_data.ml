@@ -43,6 +43,6 @@ let table1 : row list =
                  Some (2.1, 2.1) |] };
   ]
 
-(* Paper flow statements used by the fig1 and timing experiments. *)
+(* Paper flow statements used by the table1 and fig1 experiments. *)
 let paper_layout_calls_case4 = 3
 let paper_sizing_time_bound_s = 120.0

@@ -33,6 +33,16 @@ let kind_conv =
   let print fmt k = Format.pp_print_string fmt (Device.Model.kind_to_string k) in
   Arg.conv (parse, print)
 
+(* Sample, start and budget counts: the wire refuses a non-positive count
+   with invalid_request, so the CLI refuses it as a usage error. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let proc_arg =
   Arg.(value & opt proc_conv Technology.Process.c06
        & info [ "tech" ] ~docv:"NAME" ~doc:"Technology (c06 or c035).")
@@ -360,14 +370,21 @@ let spec_term =
   let vdd =
     Arg.(value & opt float 3.3 & info [ "vdd" ] ~docv:"V" ~doc:"Supply voltage.")
   in
+  (* a spec the sizing plans would refuse is a usage error, as the wire
+     answers it with invalid_request *)
   let build gbw pm cl vdd =
-    { Comdiac.Spec.paper_ota with
-      Comdiac.Spec.gbw = gbw *. 1e6;
-      phase_margin = pm;
-      cload = cl *. 1e-12;
-      vdd }
+    let spec =
+      { Comdiac.Spec.paper_ota with
+        Comdiac.Spec.gbw = gbw *. 1e6;
+        phase_margin = pm;
+        cload = cl *. 1e-12;
+        vdd }
+    in
+    match Comdiac.Spec.validate spec with
+    | Ok () -> Ok spec
+    | Error msg -> Error ("spec: " ^ msg)
   in
-  Term.(const build $ gbw $ pm $ cl $ vdd)
+  Term.(cli_parse_result' (const build $ gbw $ pm $ cl $ vdd))
 
 (* --- size ----------------------------------------------------------- *)
 
@@ -509,7 +526,7 @@ let layout_cmd =
 
 let verify_cmd =
   let samples =
-    Arg.(value & opt int 30
+    Arg.(value & opt pos_int 30
          & info [ "samples" ] ~docv:"N" ~doc:"Monte Carlo sample count.")
   in
   let run tele format proc kind spec samples =
@@ -557,14 +574,14 @@ let strategy_conv =
   Arg.conv (parse, Format.pp_print_string)
 
 let starts_arg =
-  Arg.(value & opt int 6
+  Arg.(value & opt pos_int 6
        & info [ "starts" ] ~docv:"N"
            ~doc:"Independent multi-start searches; start $(i,i) draws only \
                  from SplitMix64 stream (seed, $(i,i)), so results are \
                  bit-identical at any $(b,--jobs) count.")
 
 let budget_arg =
-  Arg.(value & opt int 480
+  Arg.(value & opt pos_int 480
        & info [ "budget" ] ~docv:"N"
            ~doc:"Total coarse-tier evaluation budget, split across the \
                  starts.")
@@ -629,7 +646,7 @@ let optimize_cmd =
 
 let stats_cmd =
   let samples =
-    Arg.(value & opt int 50
+    Arg.(value & opt pos_int 50
          & info [ "samples" ] ~docv:"N" ~doc:"Monte Carlo sample count.")
   in
   let repeat =
@@ -822,11 +839,11 @@ let job_cmd =
          & info [ "topology" ] ~docv:"NAME" ~doc:"Topology for $(b,size).")
   in
   let n =
-    Arg.(value & opt int 50
+    Arg.(value & opt pos_int 50
          & info [ "n"; "count" ] ~docv:"N" ~doc:"Sample count for $(b,mc).")
   in
   let samples =
-    Arg.(value & opt int 30
+    Arg.(value & opt pos_int 30
          & info [ "samples" ] ~docv:"N"
              ~doc:"Monte Carlo sample count for $(b,verify).")
   in

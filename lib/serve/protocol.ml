@@ -345,7 +345,8 @@ let workload_of_json json =
     Ok (Cancel { target })
   | other -> Error (Printf.sprintf "unknown workload kind %S" other)
 
-(* Spec overrides: absent fields keep the paper's Table-1 values. *)
+(* Spec overrides: absent fields keep the paper's Table-1 values, and an
+   override the sizing plans would refuse is refused here. *)
 let spec_of_json = function
   | None -> Ok Comdiac.Spec.paper_ota
   | Some json ->
@@ -360,7 +361,12 @@ let spec_of_json = function
     let* output_range =
       pair_field "output_range" ~default:d.Comdiac.Spec.output_range json
     in
-    Ok { Comdiac.Spec.vdd; gbw; phase_margin; cload; icmr; output_range }
+    let spec =
+      { Comdiac.Spec.vdd; gbw; phase_margin; cload; icmr; output_range }
+    in
+    (match Comdiac.Spec.validate spec with
+     | Ok () -> Ok spec
+     | Error msg -> Error ("spec: " ^ msg))
 
 let ctx_of_json json =
   match json with

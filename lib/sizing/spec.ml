@@ -26,7 +26,12 @@ let output_quiescent t =
 
 let validate t =
   let lo_i, hi_i = t.icmr and lo_o, hi_o = t.output_range in
-  if t.vdd <= 0.0 then Error "vdd must be positive"
+  if
+    not
+      (List.for_all Float.is_finite
+         [ t.vdd; t.gbw; t.phase_margin; t.cload; lo_i; hi_i; lo_o; hi_o ])
+  then Error "every spec field must be a finite number"
+  else if t.vdd <= 0.0 then Error "vdd must be positive"
   else if t.gbw <= 0.0 then Error "gbw must be positive"
   else if t.phase_margin <= 0.0 || t.phase_margin >= 90.0 then
     Error "phase margin must be in (0, 90) degrees"

@@ -24,4 +24,8 @@ val output_quiescent : t -> float
 (** Mid output-range voltage: the quiescent output target. *)
 
 val validate : t -> (unit, string) result
+(** [Error] names the first violated constraint: a non-finite field,
+    a non-positive supply, GBW or load, a phase margin outside (0, 90)
+    degrees, an empty range, or an output range above the supply. *)
+
 val pp : Format.formatter -> t -> unit

@@ -14,9 +14,9 @@ let () =
       Suite_obs.suite;
       Suite_hist.suite;
       Suite_par.suite;
-      Suite_gate.suite;
       Suite_cache.suite;
       Suite_statistics.suite;
       Suite_serve.suite;
       Suite_opt.suite;
+      Suite_cli.suite;
     ]

@@ -91,32 +91,60 @@ let test_lru_eviction_order () =
   Alcotest.(check int) "re-inserting the evicted key misses" 6
     (Memo.stats m).Memo.misses
 
-(* --- cache-on == cache-off bit-identity for a flow case ------------------- *)
+(* --- cold == warm == uncached for every coarse memo ---------------------- *)
 
-let strip_elapsed r = { r with Flow.elapsed = 0.0 }
+(* [run] computed with cold memos, again from the warm memos, and with
+   caching disabled must compare structurally equal after [strip] (which
+   drops wall-clock fields); the warm run must hit the memo named [memo] *)
+let check_cache_identity ?memo ~strip run =
+  Memo.clear_all ();
+  let cold = Cache.Config.with_enabled true run in
+  let warm = Cache.Config.with_enabled true run in
+  Option.iter
+    (fun name ->
+      match
+        List.find_opt (fun st -> st.Memo.name = name) (Memo.registry ())
+      with
+      | Some st ->
+        Alcotest.(check bool) (name ^ " answered the warm run") true
+          (st.Memo.hits > 0)
+      | None -> Alcotest.failf "no memo named %s" name)
+    memo;
+  let uncached = Cache.Config.with_enabled false run in
+  Alcotest.(check bool) "warm rerun is bit-identical" true
+    (compare (strip cold) (strip warm) = 0);
+  Alcotest.(check bool) "cache on == cache off" true
+    (compare (strip cold) (strip uncached) = 0)
 
 let test_flow_bit_identity () =
-  (* same end-to-end synthesis with every memo active and with caching
-     globally disabled: results must compare structurally equal (only the
-     wall-clock field may differ) *)
-  Memo.clear_all ();
-  let cached =
-    Cache.Config.with_enabled true @@ fun () ->
-    Flow.run ~proc ~kind ~spec Flow.Case2
-  in
-  (* a second cached run, now answered from warm memos *)
-  let warm =
-    Cache.Config.with_enabled true @@ fun () ->
-    Flow.run ~proc ~kind ~spec Flow.Case2
-  in
-  let uncached =
-    Cache.Config.with_enabled false @@ fun () ->
-    Flow.run ~proc ~kind ~spec Flow.Case2
-  in
-  Alcotest.(check bool) "warm rerun is bit-identical" true
-    (compare (strip_elapsed cached) (strip_elapsed warm) = 0);
-  Alcotest.(check bool) "cache on == cache off" true
-    (compare (strip_elapsed cached) (strip_elapsed uncached) = 0)
+  check_cache_identity ~memo:"flow.sizing"
+    ~strip:(fun r -> { r with Flow.elapsed = 0.0 })
+    (fun () -> Flow.run ~proc ~kind ~spec Flow.Case2)
+
+let sized =
+  lazy
+    (Comdiac.Folded_cascode.size ~proc ~kind ~spec
+       ~parasitics:Comdiac.Parasitics.single_fold)
+
+(* the comdiac.mc_sample memo *)
+let test_mc_bit_identity () =
+  let amp = (Lazy.force sized).Comdiac.Folded_cascode.amp in
+  check_cache_identity ~memo:"comdiac.mc_sample" ~strip:Fun.id (fun () ->
+    Comdiac.Montecarlo.run ~n:6 ~proc ~kind ~spec amp)
+
+(* the comdiac.corner_point memo (frozen bias), and the rebiased sweep
+   that bypasses it for the device-level memos *)
+let test_corners_bit_identity () =
+  let design = Lazy.force sized in
+  let amp = design.Comdiac.Folded_cascode.amp in
+  let corners = Technology.Corner.[ TT; SS ] in
+  let temperatures = [ Technology.Corner.celsius 85.0 ] in
+  check_cache_identity ~memo:"comdiac.corner_point" ~strip:Fun.id (fun () ->
+    Comdiac.Robustness.run ~corners ~temperatures ~proc ~kind ~spec amp);
+  let rebias p = Comdiac.Folded_cascode.rebias ~proc:p ~kind ~spec design in
+  check_cache_identity ~strip:Fun.id (fun () ->
+    Comdiac.Robustness.run ~corners ~temperatures ~rebias ~proc ~kind ~spec
+      amp)
 
 (* --- concurrent access from pool workers ---------------------------------- *)
 
@@ -203,4 +231,8 @@ let suite =
         test_cache_off_propagates_to_workers;
       case "ctx resolution and scoped flags" test_ctx_resolution;
     ]
-    @ qcheck_cases [ prop_pool_workers_consistent ] )
+    @ qcheck_cases [ prop_pool_workers_consistent ]
+    @ [
+        case "monte carlo: cache on == cache off" test_mc_bit_identity;
+        case "corner sweeps: cache on == cache off" test_corners_bit_identity;
+      ] )

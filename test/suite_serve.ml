@@ -62,15 +62,14 @@ let workload_gen =
 let request_gen =
   QCheck.Gen.(
     let opt g = frequency [ (1, return None); (2, map Option.some g) ] in
-    let finite =
-      map (fun v -> if Float.is_finite v then v else 1.0) (float_bound_inclusive 1e12)
-    in
+    (* any spec Spec.validate accepts: the decoder refuses the rest *)
+    let hi_out = snd Comdiac.Spec.paper_ota.Comdiac.Spec.output_range in
     workload_gen >>= fun workload ->
     int_bound 100000 >>= fun id ->
     oneofl [ "c06"; "c035" ] >>= fun proc ->
     oneofl [ Device.Model.Level1; Device.Model.Bsim_lite ] >>= fun kind ->
-    finite >>= fun vdd ->
-    finite >>= fun gbw ->
+    float_range hi_out 1e6 >>= fun vdd ->
+    float_range 1.0 1e12 >>= fun gbw ->
     opt (int_bound 7) >>= fun jobs ->
     opt (int_bound 64) >>= fun chunk ->
     opt bool >>= fun cache ->
@@ -117,6 +116,24 @@ let test_request_decode_errors () =
   is_error "ill-typed spec"
     (decode
        {|{"api":"losac.job/1","workload":{"kind":"ping"},"spec":{"vdd":"x"}}|});
+  (* spec overrides the sizing plans would refuse are refused at decode *)
+  List.iter
+    (fun spec ->
+      match
+        decode
+          (Printf.sprintf
+             {|{"api":"losac.job/1","workload":{"kind":"synth"},"spec":%s}|}
+             spec)
+      with
+      | Ok () -> Alcotest.failf "spec %s unexpectedly decoded" spec
+      | Error m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "spec %s: message names the spec" spec)
+          true
+          (String.starts_with ~prefix:"spec: " m))
+    [ {|{"gbw":0}|}; {|{"cload":-1}|}; {|{"vdd":-3.3}|};
+      {|{"phase_margin":95}|}; {|{"icmr":[2,1]}|};
+      {|{"output_range":[0.5,4.0]}|}; {|{"gbw":1e400}|} ];
   (match decode {|{"api":"losac.job/1","workload":{"kind":"ping"}}|} with
    | Ok () -> ()
    | Error m -> Alcotest.failf "minimal request rejected: %s" m);
@@ -386,6 +403,20 @@ let test_served_malformed_keeps_connection () =
         Alcotest.(check int) "salvaged id is -1" (-1) r.P.rid
       | _ -> Alcotest.fail "expected a final error response")
    | None -> Alcotest.fail "connection closed on malformed JSON");
+  (* a well-formed request with an invalid spec override is refused the
+     same way, with its own id *)
+  Serve.Frame.write sock
+    {|{"api":"losac.job/1","id":7,"workload":{"kind":"synth"},"spec":{"gbw":0}}|};
+  (match Serve.Frame.read sock with
+   | Some payload ->
+     (match Result.bind (J.parse payload) P.message_of_json with
+      | Ok (P.Final r) ->
+        (match r.P.status with
+         | P.Bad_request _ -> ()
+         | s -> Alcotest.failf "gbw 0 gave %s" (P.status_string s));
+        Alcotest.(check int) "refusal carries the request id" 7 r.P.rid
+      | _ -> Alcotest.fail "expected a final error response")
+   | None -> Alcotest.fail "connection closed on an invalid spec");
   (* same connection still serves valid requests *)
   Serve.Frame.write sock
     (J.to_string (P.request_to_json (P.request ~id:8 P.Ping)));

@@ -26,7 +26,17 @@ let test_spec_validate () =
   Alcotest.(check bool) "negative gbw rejected" true (Spec.validate bad <> Ok ());
   let bad2 = { spec with Spec.output_range = (0.5, 4.0) } in
   Alcotest.(check bool) "swing above supply rejected" true
-    (Spec.validate bad2 <> Ok ())
+    (Spec.validate bad2 <> Ok ());
+  List.iter
+    (fun (what, bad) ->
+      Alcotest.(check bool) (what ^ " rejected") true
+        (Spec.validate bad <> Ok ()))
+    [
+      ("nan gbw", { spec with Spec.gbw = Float.nan });
+      ("infinite load", { spec with Spec.cload = Float.infinity });
+      ("nan phase margin", { spec with Spec.phase_margin = Float.nan });
+      ("nan range bound", { spec with Spec.icmr = (Float.nan, 1.0) });
+    ]
 
 let test_spec_derived () =
   check_close ~rel:1e-9 "vcm" 0.645 (Spec.input_common_mode spec);
