@@ -908,9 +908,15 @@ let job_cmd =
         request_of ?timeout_s:timeout ~telemetry tele proc kind spec workload
       in
       let client =
-        match tcp with
-        | Some (host, port) -> Serve.Client.connect_tcp ~host ~port ()
-        | None -> Serve.Client.connect socket
+        match
+          match tcp with
+          | Some (host, port) -> Serve.Client.connect_tcp ~host ~port ()
+          | None -> Serve.Client.connect socket
+        with
+        | client -> client
+        | exception Serve.Client.Connect_failed msg ->
+          Format.eprintf "losac: %s@." msg;
+          exit 1
       in
       let on_event e =
         if show_events then

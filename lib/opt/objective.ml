@@ -152,10 +152,12 @@ let eval_sim t vec =
              design.FC.amp
      with
      | tb ->
-       let opt_nan = function Some v -> v | None -> Float.nan in
-       finish t.spec vec
-         ~gbw:(opt_nan (Comdiac.Testbench.gbw tb))
-         ~pm:(opt_nan (Comdiac.Testbench.phase_margin tb))
+       let gbw, pm =
+         match Comdiac.Testbench.gbw tb with
+         | Some f -> (f, Comdiac.Testbench.phase_margin_at tb f)
+         | None -> (Float.nan, Float.nan)
+       in
+       finish t.spec vec ~gbw ~pm
          ~gain_db:(Sim.Measure.db (Comdiac.Testbench.dc_gain tb))
          ~power:(Comdiac.Testbench.power tb)
          ~area:(area_of design.FC.amp)

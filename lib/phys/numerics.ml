@@ -22,9 +22,11 @@ let bisect ?(tol = default_tol) ?(max_iter = 200) ~f a b =
 
 (* Brent's method following the classical Numerical Recipes formulation:
    inverse quadratic interpolation / secant step, falling back to bisection
-   whenever the interpolated step misbehaves. *)
-let brent ?(tol = default_tol) ?(max_iter = 200) ~f a b =
-  let fa = f a and fb = f b in
+   whenever the interpolated step misbehaves.  A caller that has already
+   evaluated the bracket ends passes their values as [fa]/[fb]. *)
+let brent ?(tol = default_tol) ?(max_iter = 200) ?fa ?fb ~f a b =
+  let fa = match fa with Some v -> v | None -> f a in
+  let fb = match fb with Some v -> v | None -> f b in
   if fa = 0.0 then a
   else if fb = 0.0 then b
   else if fa *. fb > 0.0 then
@@ -149,6 +151,23 @@ let logspace a b n =
   let la = log10 a and lb = log10 b in
   Array.init n (fun i ->
     10.0 ** (la +. (lb -. la) *. float_of_int i /. float_of_int (n - 1)))
+
+let scan_stride = 8
+
+let scan_bracket ~below points =
+  let n = Array.length points in
+  (* point by point inside the stride (lo, hi]; [below points.(hi)] is
+     already known to hold *)
+  let rec fine i hi = if i = hi || below points.(i) then i else fine (i + 1) hi in
+  let rec coarse lo =
+    if lo >= n - 1 then None
+    else
+      let hi = min (lo + scan_stride) (n - 1) in
+      if below points.(hi) then Some (fine (lo + 1) hi) else coarse hi
+  in
+  match coarse 0 with
+  | Some i -> Some (points.(i - 1), points.(i))
+  | None -> None
 
 let linspace a b n =
   assert (n >= 2);

@@ -14,9 +14,13 @@ val bisect :
     (default 1e-12 relative to the interval size). *)
 
 val brent :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float -> float
+  ?tol:float -> ?max_iter:int -> ?fa:float -> ?fb:float ->
+  f:(float -> float) -> float -> float -> float
 (** Brent's method: inverse-quadratic/secant with a bisection safeguard.
-    Same contract as {!bisect} but converges superlinearly. *)
+    Same contract as {!bisect} but converges superlinearly.  [fa] and
+    [fb], when given, must be [f a] and [f b]: the bracket search that
+    found [[a, b]] has usually evaluated them already, and passing them
+    saves two calls of [f] without changing the result. *)
 
 val secant :
   ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float -> float
@@ -49,6 +53,17 @@ val integrate_log : ?points_per_decade:int -> f:(float -> float) -> float -> flo
 val logspace : float -> float -> int -> float array
 (** [logspace a b n] is [n] points logarithmically spaced from [a] to [b]
     inclusive ([a, b > 0], [n >= 2]). *)
+
+val scan_bracket :
+  below:(float -> bool) -> float array -> (float * float) option
+(** [scan_bracket ~below points] is [Some (points.(i - 1), points.(i))]
+    for the first [i >= 1] with [below points.(i)], or [None] when there
+    is none.  The scan is coarse-to-fine: [below] is tried on every 8th
+    point, then point by point inside the stride where it first held, so
+    a 121-point sweep costs about 20 calls instead of up to 120.  The
+    result equals the point-by-point scan unless [below] first holds at
+    some point and fails again at the next point the coarse pass tries,
+    i.e. the condition is entered and left within one stride. *)
 
 val linspace : float -> float -> int -> float array
 (** [linspace a b n] is [n] points linearly spaced from [a] to [b]. *)

@@ -4,22 +4,30 @@ module P = Protocol
 type t = { fd : Unix.file_descr; max_frame : int }
 
 exception Protocol_error of string
+exception Connect_failed of string
+
+let open_socket domain addr ~target =
+  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+  try Unix.connect fd addr; fd
+  with Unix.Unix_error (e, _, _) ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise
+      (Connect_failed
+         (Printf.sprintf "cannot connect to %s: %s" target (Unix.error_message e)))
 
 let connect ?(max_frame = Frame.max_frame_default) path =
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_UNIX path)
-   with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
-  { fd; max_frame }
+  { fd = open_socket Unix.PF_UNIX (Unix.ADDR_UNIX path) ~target:path; max_frame }
 
 let connect_tcp ?(max_frame = Frame.max_frame_default) ~host ~port () =
+  let target = Printf.sprintf "%s:%d" host port in
   let addr =
     try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found -> Unix.inet_addr_of_string host
+    with Not_found -> (
+      try Unix.inet_addr_of_string host
+      with Failure _ ->
+        raise (Connect_failed (Printf.sprintf "cannot resolve host %s" host)))
   in
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_INET (addr, port))
-   with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
-  { fd; max_frame }
+  { fd = open_socket Unix.PF_INET (Unix.ADDR_INET (addr, port)) ~target; max_frame }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 

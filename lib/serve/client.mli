@@ -1,16 +1,23 @@
 (** Minimal blocking client for the {!Server} daemon — used by the
-    [losac job] subcommand, the [bench serve] load generator and the
-    test suite. *)
+    [losac job] subcommand and the test suite. *)
 
 type t
 
 exception Protocol_error of string
 (** The server closed mid-conversation or sent an undecodable frame. *)
 
+exception Connect_failed of string
+(** No daemon answers at the address (missing socket, refused port,
+    unknown host).  The message names the address and the reason. *)
+
 val connect : ?max_frame:int -> string -> t
-(** Connect to a Unix-domain socket path. *)
+(** Connect to a Unix-domain socket path.
+    @raise Connect_failed when nothing listens there. *)
 
 val connect_tcp : ?max_frame:int -> host:string -> port:int -> unit -> t
+(** Connect to [host:port] over TCP.
+    @raise Connect_failed as {!connect}. *)
+
 val close : t -> unit
 
 val call :

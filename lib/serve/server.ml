@@ -107,17 +107,17 @@ type t = {
 (* --- writing ----------------------------------------------------------- *)
 
 (* A dead peer must never kill the server: write failures just mark the
-   connection dead and the payload is dropped. *)
-let send conn json =
-  if Atomic.get conn.alive then begin
-    Mutex.lock conn.wlock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock conn.wlock)
-      (fun () ->
-        try Frame.write conn.fd (J.to_string json)
-        with Unix.Unix_error _ | Frame.Truncated ->
-          Atomic.set conn.alive false)
-  end
+   connection dead and the payload is dropped.  Caller holds [wlock]. *)
+let write_locked conn json =
+  if Atomic.get conn.alive then
+    try Frame.write conn.fd (J.to_string json)
+    with Unix.Unix_error _ | Frame.Truncated -> Atomic.set conn.alive false
+
+let with_wlock conn f =
+  Mutex.lock conn.wlock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock conn.wlock) f
+
+let send conn json = with_wlock conn (fun () -> write_locked conn json)
 
 let send_response conn (r : P.response) = send conn (P.response_to_json r)
 let send_event conn e = send conn (P.event_to_json e)
@@ -275,16 +275,24 @@ let admit t conn (req : P.request) =
       send_response conn
         (error_response ~rid:req.P.id
            ~workload:(P.workload_name req.P.workload) P.Shutting_down)
-    else begin
+    else
+      (* The ack is written under the connection's write lock, taken
+         before the job is queued: an executor that picks the job up at
+         once blocks on that lock, so no [started], [telemetry] or final
+         frame of the job can reach the wire ahead of its ack.  Lock
+         order is [wlock] then [t.lock]; nothing takes them the other
+         way round. *)
+      with_wlock conn @@ fun () ->
       Mutex.lock t.lock;
       let depth = t.queued in
       if depth >= t.config.queue_limit then begin
         Mutex.unlock t.lock;
         Obs.Metrics.incr "serve.overloaded";
-        send_response conn
-          (error_response ~rid:req.P.id
-             ~workload:(P.workload_name req.P.workload)
-             (P.Overloaded { depth; limit = t.config.queue_limit }))
+        write_locked conn
+          (P.response_to_json
+             (error_response ~rid:req.P.id
+                ~workload:(P.workload_name req.P.workload)
+                (P.Overloaded { depth; limit = t.config.queue_limit })))
       end
       else begin
         Atomic.incr conn.pending;
@@ -303,9 +311,9 @@ let admit t conn (req : P.request) =
         Obs.Metrics.set "serve.queue_depth" (float_of_int depth);
         Condition.signal t.nonempty;
         Mutex.unlock t.lock;
-        send_event conn (P.Ack { rid = req.P.id; queue_depth = depth })
+        write_locked conn
+          (P.event_to_json (P.Ack { rid = req.P.id; queue_depth = depth }))
       end
-    end
 
 (* --- reader ------------------------------------------------------------ *)
 

@@ -18,12 +18,7 @@ let unity_gain_freq ?(fmin = 1.0) ?(fmax = 1e11) net ~out =
   else begin
     (* log sweep until |H| < 1, then refine on log-frequency *)
     let points = Phys.Numerics.logspace fmin fmax 121 in
-    let rec bracket i =
-      if i >= Array.length points then None
-      else if g points.(i) <= 0.0 then Some (points.(i - 1), points.(i))
-      else bracket (i + 1)
-    in
-    match bracket 1 with
+    match Phys.Numerics.scan_bracket ~below:(fun f -> g f <= 0.0) points with
     | None -> None
     | Some (a, b) ->
       let f u = g (exp u) in
@@ -31,24 +26,21 @@ let unity_gain_freq ?(fmin = 1.0) ?(fmax = 1e11) net ~out =
       Some (exp u)
   end
 
+let phase_margin_at net ~out fu =
+  let ph = phase_deg net ~out fu in
+  (* An inverting or non-inverting amplifier converges to -90 deg at the
+     dominant pole either from 180 or 0; normalise so that the margin is
+     measured against -180. *)
+  let ph = if ph > 90.0 then ph -. 360.0 else ph in
+  180.0 +. ph
+
 let phase_margin net ~out =
-  match unity_gain_freq net ~out with
-  | None -> None
-  | Some fu ->
-    let ph = phase_deg net ~out fu in
-    (* An inverting or non-inverting amplifier converges to -90 deg at the
-       dominant pole either from 180 or 0; normalise so that the margin is
-       measured against -180. *)
-    let ph = if ph > 90.0 then ph -. 360.0 else ph in
-    Some (180.0 +. ph)
+  Option.map (phase_margin_at net ~out) (unity_gain_freq net ~out)
 
 let gain_poles_summary net ~out =
   match unity_gain_freq net ~out with
   | None -> None
-  | Some fu ->
-    (match phase_margin net ~out with
-     | None -> None
-     | Some pm -> Some (db (dc_gain net ~out), fu, pm))
+  | Some fu -> Some (db (dc_gain net ~out), fu, phase_margin_at net ~out fu)
 
 let output_resistance ?(freq = 1.0) net ~out =
   Complex.norm (Acs.output_impedance net ~freq ~out)
@@ -59,12 +51,7 @@ let bandwidth_3db ?(fmin = 1.0) ?(fmax = 1e11) net ~out =
   let target = a0 /. sqrt 2.0 in
   let g f = magnitude net ~out f -. target in
   let points = Phys.Numerics.logspace fmin fmax 121 in
-  let rec bracket i =
-    if i >= Array.length points then None
-    else if g points.(i) <= 0.0 then Some (points.(i - 1), points.(i))
-    else bracket (i + 1)
-  in
-  match bracket 1 with
+  match Phys.Numerics.scan_bracket ~below:(fun f -> g f <= 0.0) points with
   | None -> None
   | Some (a, b) ->
     let f u = g (exp u) in

@@ -18,12 +18,19 @@ val dc_gain : ?freq:float -> Acs.t -> out:string -> float
 
 val unity_gain_freq :
   ?fmin:float -> ?fmax:float -> Acs.t -> out:string -> float option
-(** Frequency where |H| crosses 1, by log sweep bracketing then Brent
-    refinement.  [None] when |H| never reaches 1 in the range (default
-    1 Hz .. 100 GHz). *)
+(** Frequency where |H| crosses 1: the first point of a 121-point log
+    sweep with |H| <= 1, found by {!Phys.Numerics.scan_bracket}, and the
+    point before it bracket a Brent refinement on log-frequency.  [None]
+    when |H| never reaches 1 in the range (default 1 Hz .. 100 GHz). *)
 
 val phase_margin : Acs.t -> out:string -> float option
 (** 180 + phase(H(fu)) in degrees at the unity-gain frequency. *)
+
+val phase_margin_at : Acs.t -> out:string -> float -> float
+(** [phase_margin_at net ~out fu] is the phase margin at a unity-gain
+    frequency [fu] the caller has already measured, without searching
+    for the crossing again: [phase_margin net ~out] is
+    [Option.map (phase_margin_at net ~out) (unity_gain_freq net ~out)]. *)
 
 val gain_poles_summary :
   Acs.t -> out:string -> (float * float * float) option

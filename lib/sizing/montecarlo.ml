@@ -66,6 +66,9 @@ let perturb proc st amp =
         dev)
     amp
 
+let sample_amp ~proc ~seed index amp =
+  perturb proc (Par.Splitmix.create ~stream:index seed) amp
+
 let input_pair_sigma proc amp =
   (* the device whose gate is the non-inverting input *)
   let input_dev =
@@ -112,9 +115,9 @@ let run ?seed ?(n = 50) ?ctx ?jobs ?proc ~kind ~spec amp =
     Cache.Memo.find_or_compute sample_memo
       (proc, kind, spec, seed, index, amp)
       (fun () ->
-        let st = Par.Splitmix.create ~stream:index seed in
-        let amp' = perturb proc st amp in
-        match Testbench.make ~proc ~kind ~spec amp' with
+        match
+          Testbench.make ~proc ~kind ~spec (sample_amp ~proc ~seed index amp)
+        with
         | tb ->
           Some
             {

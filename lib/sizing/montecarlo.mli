@@ -36,6 +36,12 @@ type result = {
           scaled by gm ratios *)
 }
 
+val sample_amp :
+  proc:Technology.Process.t -> seed:int -> int -> Amp.t -> Amp.t
+(** [sample_amp ~proc ~seed i amp] is sample [i]'s mismatched copy of
+    [amp]: every device perturbed from SplitMix64 stream [(seed, i)], as
+    {!run} measures it. *)
+
 val stats_of : float list -> stats
 (** Single-pass (Welford) summary; [std] is the unbiased (n-1) sample
     standard deviation.  Raises on the empty list. *)

@@ -22,12 +22,16 @@ let measure_point ?rebias ~proc ~kind ~spec ~corner ~temperature amp =
   let amp = match rebias with Some f -> f proc | None -> amp in
   match Testbench.make ~proc ~kind ~spec amp with
   | tb ->
+    let gbw, phase_margin =
+      match Testbench.gbw tb with
+      | Some f -> (f, Testbench.phase_margin_at tb f)
+      | None -> (Float.nan, Float.nan)
+    in
     {
       corner;
       temperature;
-      gbw = (match Testbench.gbw tb with Some f -> f | None -> Float.nan);
-      phase_margin =
-        (match Testbench.phase_margin tb with Some p -> p | None -> Float.nan);
+      gbw;
+      phase_margin;
       dc_gain_db = Sim.Measure.db (Testbench.dc_gain tb);
       power = Testbench.power tb;
       biased = true;

@@ -9,7 +9,6 @@ type t = {
   vos : float;               (* nulled differential input *)
   dc : Sim.Dcop.t;           (* offset-nulled differential bench *)
   net_dm : Sim.Acs.t;        (* differential AC view *)
-  net_cm : Sim.Acs.t;        (* common-mode AC view *)
 }
 
 (* Open-loop bench: supply, load and the two input sources around the
@@ -57,41 +56,49 @@ let solve_dc proc kind spec amp circuit =
 
 (* Null the offset: find the differential input that puts the output at
    the quiescent target.  The output saturates outside a tiny input
-   window, so bracket adaptively before bisection. *)
+   window, so bracket adaptively before Brent, which reuses the bracket
+   ends' values.  Returns the root and the differential bench's operating
+   point there: Brent's root is always a point it evaluated, so that
+   solve is looked up, not repeated. *)
 let null_offset ?vcm proc kind spec amp =
   let target = amp.Amp.quiescent_out in
+  let solved = ref [] in
   let f vdiff =
     let c = open_loop_circuit ?vcm spec amp ~vdiff ~ac_dm:1.0 ~ac_cm:0.0 in
     let dc = solve_dc proc kind spec amp c in
+    solved := (vdiff, dc) :: !solved;
     Sim.Dcop.voltage dc "out" -. target
   in
   let rec bracket w =
     if w > 0.3 then failwith "Testbench: cannot bracket the offset"
-    else if f (-.w) *. f w <= 0.0 then w
-    else bracket (w *. 4.0)
+    else
+      let fa = f (-.w) and fb = f w in
+      if fa *. fb <= 0.0 then (w, fa, fb) else bracket (w *. 4.0)
   in
-  let w = bracket 2e-3 in
-  Phys.Numerics.brent ~tol:1e-9 ~max_iter:80 ~f (-.w) w
+  let w, fa, fb = bracket 2e-3 in
+  let vos = Phys.Numerics.brent ~tol:1e-9 ~max_iter:80 ~fa ~fb ~f (-.w) w in
+  (vos, List.assoc vos !solved)
 
 let make ~proc ~kind ~spec amp =
-  let vos = null_offset proc kind spec amp in
-  let circuit_dm = open_loop_circuit spec amp ~vdiff:vos ~ac_dm:1.0 ~ac_cm:0.0 in
-  let dc = solve_dc proc kind spec amp circuit_dm in
-  let net_dm = Sim.Acs.prepare dc in
-  let circuit_cm = open_loop_circuit spec amp ~vdiff:vos ~ac_dm:0.0 ~ac_cm:1.0 in
-  let dc_cm = solve_dc proc kind spec amp circuit_cm in
-  let net_cm = Sim.Acs.prepare dc_cm in
-  { proc; kind; spec; amp; vos; dc; net_dm; net_cm }
+  let vos, dc = null_offset proc kind spec amp in
+  { proc; kind; spec; amp; vos; dc; net_dm = Sim.Acs.prepare dc }
 
 let offset t = t.vos
 let dc_gain t = Sim.Measure.dc_gain t.net_dm ~out:"out"
 let gbw t = Sim.Measure.unity_gain_freq t.net_dm ~out:"out"
 let phase_margin t = Sim.Measure.phase_margin t.net_dm ~out:"out"
+let phase_margin_at t fu = Sim.Measure.phase_margin_at t.net_dm ~out:"out" fu
 let output_resistance t = Sim.Measure.output_resistance t.net_dm ~out:"out"
 
+(* The common-mode bench is solved here, on demand: only [cmrr] reads
+   it, and Monte Carlo, corner and optimizer benches never call it. *)
 let cmrr t =
   let adm = Sim.Measure.dc_gain t.net_dm ~out:"out" in
-  let acm = Sim.Measure.dc_gain t.net_cm ~out:"out" in
+  let circuit_cm =
+    open_loop_circuit t.spec t.amp ~vdiff:t.vos ~ac_dm:0.0 ~ac_cm:1.0
+  in
+  let net_cm = Sim.Acs.prepare (solve_dc t.proc t.kind t.spec t.amp circuit_cm) in
+  let acm = Sim.Measure.dc_gain net_cm ~out:"out" in
   adm /. Float.max 1e-12 acm
 
 let power t =
@@ -174,8 +181,11 @@ let performance_memo :
   Cache.Memo.create ~name:"comdiac.performance" ~shards:8 ~capacity:1024 ()
 
 let performance_exact t =
-  let fu = match gbw t with Some f -> f | None -> Float.nan in
-  let pm = match phase_margin t with Some p -> p | None -> Float.nan in
+  let fu, pm =
+    match gbw t with
+    | Some f -> (f, phase_margin_at t f)
+    | None -> (Float.nan, Float.nan)
+  in
   let white_freq =
     if Float.is_nan fu then 10e6 else Float.max 1e5 (fu /. 4.0)
   in
@@ -210,11 +220,7 @@ let psrr t =
 
 let gain_at_vcm t vcm =
   match null_offset ~vcm t.proc t.kind t.spec t.amp with
-  | vdiff ->
-    let c = open_loop_circuit ~vcm t.spec t.amp ~vdiff ~ac_dm:1.0 ~ac_cm:0.0 in
-    let dc = solve_dc t.proc t.kind t.spec t.amp c in
-    let net = Sim.Acs.prepare dc in
-    Sim.Measure.dc_gain net ~out:"out"
+  | _, dc -> Sim.Measure.dc_gain (Sim.Acs.prepare dc) ~out:"out"
   | exception (Failure _ | Phys.Numerics.No_convergence _) -> 0.0
 
 let common_mode_range ?(points = 34) t =

@@ -20,9 +20,16 @@ val offset : t -> float
 val dc_gain : t -> float
 val gbw : t -> float option
 val phase_margin : t -> float option
+
+val phase_margin_at : t -> float -> float
+(** Phase margin at a unity-gain frequency already measured by {!gbw}:
+    [phase_margin t] is [Option.map (phase_margin_at t) (gbw t)], without
+    the second crossing search. *)
+
 val output_resistance : t -> float
 val cmrr : t -> float
-(** Linear ratio Adm / Acm at low frequency. *)
+(** Linear ratio Adm / Acm at low frequency.  Solves the common-mode
+    bench on each call; {!make} does not. *)
 
 val slew_rate : t -> float
 (** Worst of the rising and falling 10–90% output slopes in the unity-gain

@@ -138,9 +138,9 @@ let size ~proc ~kind ~spec ~parasitics =
     if passes >= 6 then d
     else begin
       let tb = Testbench.make ~proc ~kind ~spec d.amp in
-      let fu = Testbench.gbw tb and pm = Testbench.phase_margin tb in
-      match (fu, pm) with
-      | Some fu, Some pm ->
+      match Testbench.gbw tb with
+      | Some fu ->
+        let pm = Testbench.phase_margin_at tb fu in
         let fu_ok = Float.abs (fu -. target_fu) <= 0.02 *. target_fu in
         let pm_ok = pm >= target_pm -. 0.5 in
         if fu_ok && pm_ok then d
@@ -151,7 +151,7 @@ let size ~proc ~kind ~spec ~parasitics =
             else Float.min 4.0 (gm6_scale *. (1.0 +. ((target_pm -. pm) /. 40.0)))
           in
           go gm1_scale' gm6_scale' (passes + 1)
-      | None, _ | _, None -> d
+      | None -> d
     end
   in
   go 1.0 1.0 1

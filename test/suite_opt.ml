@@ -168,24 +168,13 @@ let test_timeout_and_cancel () =
 
 (* --- seed resolution ------------------------------------------------------- *)
 
+(* The LOSAC_SEED cases run in the cli suite, against a spawned losac
+   with its own environment. *)
 let test_seed_resolution () =
-  let with_env value f =
-    let prev = Sys.getenv_opt "LOSAC_SEED" in
-    Unix.putenv "LOSAC_SEED" value;
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.putenv "LOSAC_SEED" (Option.value prev ~default:""))
-      f
-  in
   let ctx = Exec.Ctx.make ~seed:5 proc in
   Alcotest.(check int) "explicit override wins" 7
     (Exec.Ctx.seed ~override:7 (Some ctx));
   Alcotest.(check int) "ctx seed next" 5 (Exec.Ctx.seed (Some ctx));
-  with_env "13" (fun () ->
-    Alcotest.(check int) "env when the ctx has no seed" 13
-      (Exec.Ctx.seed (Some (Exec.Ctx.make proc)));
-    Alcotest.(check int) "ctx seed still beats the env" 5
-      (Exec.Ctx.seed (Some ctx)));
   (* a search run records the seed it resolved *)
   let r = run ~seed:9 ~budget:8 () in
   Alcotest.(check int) "search echoes the resolved seed" 9 r.S.seed

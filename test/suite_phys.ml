@@ -73,6 +73,33 @@ let prop_brent_finds_roots =
       let root = Phys.Numerics.brent ~f (-10.0) 10.0 in
       Float.abs (f root) < 1e-6)
 
+(* Passing the bracket ends' values saves exactly the two end calls and
+   changes nothing else: same root bits, same interior evaluations. *)
+let prop_brent_endpoint_values =
+  QCheck.Test.make ~name:"brent ~fa ~fb is bit-equal to brent" ~count:300
+    QCheck.(
+      quad (float_range (-3.0) 3.0) (float_range 0.1 5.0)
+        (float_range (-2.0) 2.0) (float_range 0.5 4.0))
+    (fun (r, k, c, w) ->
+      (* a quintic with a root at r, which the bracket [a, b] straddles;
+         [assume] keeps the brackets with a sign change *)
+      let calls = ref 0 in
+      let f x =
+        incr calls;
+        let d = x -. r in
+        (k *. d) +. (c *. d *. d *. d /. 3.0) +. (d *. d *. d *. d *. d)
+      in
+      let a = r -. w and b = r +. (w /. 2.0) in
+      QCheck.assume (f a *. f b < 0.0);
+      let fa = f a and fb = f b in
+      calls := 0;
+      let plain = Phys.Numerics.brent ~tol:1e-9 ~f a b in
+      let plain_calls = !calls in
+      calls := 0;
+      let given = Phys.Numerics.brent ~tol:1e-9 ~fa ~fb ~f a b in
+      Int64.equal (Int64.bits_of_float plain) (Int64.bits_of_float given)
+      && !calls = plain_calls - 2)
+
 let prop_interp_within_hull =
   QCheck.Test.make ~name:"linear interpolation stays within value hull"
     ~count:200
@@ -104,4 +131,5 @@ let suite =
       case "SI pretty printing" test_si_string;
       case "thermal voltage" test_thermal_voltage;
     ]
-    @ qcheck_cases [ prop_brent_finds_roots; prop_interp_within_hull ] )
+    @ qcheck_cases
+        [ prop_brent_finds_roots; prop_brent_endpoint_values; prop_interp_within_hull ] )

@@ -346,6 +346,28 @@ let test_slew_early_stop () =
       Alcotest.(check bool) "a Newton iteration per step at least" true
         (Obs.Metrics.counter "sim.tran.newton_iters" >= steps)))
 
+(* One bench plus its GBW: the offset null reuses the bracket ends'
+   values and the root's DC solve, the common-mode bench is not built,
+   and the unity-gain scan is coarse-to-fine.  These take 7 DC and 23 AC
+   solves here; re-solving the root, building the common-mode bench and
+   scanning point by point took 11 and 92. *)
+let test_bench_solve_counts () =
+  let amp = (Lazy.force design_nf1).FC.amp in
+  Obs.Config.with_enabled true (fun () ->
+    Obs.Metrics.reset ();
+    Fun.protect ~finally:Obs.Metrics.reset (fun () ->
+      let tb = Comdiac.Testbench.make ~proc ~kind ~spec amp in
+      let dc = Obs.Metrics.counter "sim.dcop.solves" in
+      ignore (Comdiac.Testbench.gbw tb);
+      let ac = Obs.Metrics.counter "sim.acs.solves" in
+      check_in_range "sim.dcop.solves" 1.0 8.0 dc;
+      check_in_range "sim.acs.solves" 1.0 30.0 ac;
+      (* the looked-up operating point is the one at the nulled offset *)
+      let target = amp.Comdiac.Amp.quiescent_out in
+      check_in_range "output at the quiescent target" (target -. 1e-3)
+        (target +. 1e-3)
+        (Sim.Dcop.voltage (Comdiac.Testbench.operating_point tb) "out")))
+
 let suite =
   ( "sizing",
     [
@@ -370,5 +392,6 @@ let suite =
       case "slew within 1% of the oracle: Table-1 cases" test_slew_oracle_table1;
       case "slew within 1% of the oracle: lattice points" test_slew_oracle_lattice;
       case "slew bench stops each edge early" test_slew_early_stop;
+      case "bench + gbw solve counts" test_bench_solve_counts;
     ]
     @ qcheck_cases [ prop_sizing_scales_with_load ] )

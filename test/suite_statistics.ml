@@ -149,6 +149,73 @@ let test_robustness_with_tracking_bias () =
   Alcotest.(check bool) "tracking bias holds PM" true
     (r.Comdiac.Robustness.worst_pm > spec.Comdiac.Spec.phase_margin -. 5.0)
 
+(* --- unity-gain bracket vs the point-by-point oracle ---------------------- *)
+
+(* The scan the measurements used before the coarse-to-fine bracket:
+   every point of the sweep, in order. *)
+let oracle_bracket ~below points =
+  let rec scan i =
+    if i >= Array.length points then None
+    else if below points.(i) then Some (points.(i - 1), points.(i))
+    else scan (i + 1)
+  in
+  scan 1
+
+let oracle_unity_gain_freq net ~out =
+  let g f = log (Sim.Measure.magnitude net ~out f) in
+  if g 1.0 <= 0.0 then None
+  else
+    let points = Phys.Numerics.logspace 1.0 1e11 121 in
+    match oracle_bracket ~below:(fun f -> g f <= 0.0) points with
+    | None -> None
+    | Some (a, b) ->
+      let f u = g (exp u) in
+      Some (exp (Phys.Numerics.brent ~tol:1e-9 ~f (log a) (log b)))
+
+(* Over random specs of the GBW 30-100 MHz x C_L 1.5-5 pF lattice and
+   random Monte Carlo seeds, for every Table-1 case, synthesized and
+   extracted, nominal and mismatched: the bracket is the oracle's and the
+   unity-gain frequency is bit-equal.  This is the condition under which
+   the coarse-to-fine scan is exact (|H| never dips to 1 and back within
+   one stride).  The 45 MHz row is left out: sizing fails there for C_L
+   above 1.5 pF (a known hole), and every other lattice point's flow must
+   succeed, so a broken bracket cannot hide behind a failed flow. *)
+let prop_bracket_matches_oracle =
+  QCheck.Test.make ~count:3
+    ~name:"unity-gain bracket = point-by-point oracle (4 cases, MC samples)"
+    QCheck.(triple (int_range 0 1_000_000) (int_range 0 13) (int_range 0 7))
+    (fun (seed, g, c) ->
+      let mhz = 30.0 +. (5.0 *. float_of_int (if g >= 3 then g + 1 else g)) in
+      let spec =
+        { spec with
+          Comdiac.Spec.gbw = mhz *. 1e6;
+          cload = (1.5 +. (0.5 *. float_of_int c)) *. 1e-12 }
+      in
+      let points = Phys.Numerics.logspace 1.0 1e11 121 in
+      let bits = Option.map Int64.bits_of_float in
+      let bench_ok amp =
+        match Comdiac.Testbench.make ~proc ~kind ~spec amp with
+        | exception (Failure _ | Phys.Numerics.No_convergence _) -> true
+        | tb ->
+          let net = Sim.Acs.prepare (Comdiac.Testbench.operating_point tb) in
+          let below f = log (Sim.Measure.magnitude net ~out:"out" f) <= 0.0 in
+          let oracle = oracle_unity_gain_freq net ~out:"out" in
+          Phys.Numerics.scan_bracket ~below points = oracle_bracket ~below points
+          && bits (Sim.Measure.unity_gain_freq net ~out:"out") = bits oracle
+          && bits (Comdiac.Testbench.gbw tb) = bits oracle
+      in
+      let case_ok case =
+        let r = Core.Flow.run ~proc ~kind ~spec case in
+        let design = r.Core.Flow.design in
+        List.for_all
+          (fun amp ->
+            List.for_all bench_ok
+              (amp :: List.init 3 (fun i -> MC.sample_amp ~proc ~seed i amp)))
+          [ design.Comdiac.Folded_cascode.amp;
+            Core.Flow.extracted_amp proc design r.Core.Flow.report ]
+      in
+      List.for_all case_ok Core.Flow.all_cases)
+
 let suite =
   ( "statistics",
     [
@@ -163,4 +230,5 @@ let suite =
       case "corner current ordering" test_corner_currents;
       case "robustness: frozen bias" test_robustness_frozen_bias;
       case "robustness: tracking bias" test_robustness_with_tracking_bias;
-    ] )
+    ]
+    @ qcheck_cases [ prop_bracket_matches_oracle ] )
