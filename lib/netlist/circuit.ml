@@ -49,6 +49,14 @@ let map_mos f t =
 let update_mos name f t =
   map_mos (fun dev -> if dev.Device.Mos.name = name then f dev else dev) t
 
+let update_vsource name f t =
+  let rewrite = function
+    | Element.Vsource v when v.name = name -> Element.Vsource { v with v = f v.v }
+    | (Element.Vsource _ | Element.Mos _ | Element.Resistor _
+      | Element.Capacitor _ | Element.Isource _) as e -> e
+  in
+  { t with rev_elements = List.map rewrite t.rev_elements }
+
 let add_node_cap t ~name ~node ~c =
   if c <= 0.0 then t
   else add_capacitor t ~name ~p:node ~n:Element.ground ~c

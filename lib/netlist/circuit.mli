@@ -32,6 +32,9 @@ val map_mos : (Device.Mos.t -> Device.Mos.t) -> t -> t
 val update_mos : string -> (Device.Mos.t -> Device.Mos.t) -> t -> t
 (** Rewrite one MOS device by name. *)
 
+val update_vsource : string -> (Element.source -> Element.source) -> t -> t
+(** Rewrite the value of one voltage source by name. *)
+
 val add_node_cap : t -> name:string -> node:string -> c:float -> t
 (** Attach a parasitic capacitor from [node] to ground; zero or negative
     values are ignored. *)

@@ -154,20 +154,31 @@ let logspace a b n =
 
 let scan_stride = 8
 
-let scan_bracket ~below points =
+let scan_bracket ~f points =
   let n = Array.length points in
-  (* point by point inside the stride (lo, hi]; [below points.(hi)] is
-     already known to hold *)
-  let rec fine i hi = if i = hi || below points.(i) then i else fine (i + 1) hi in
+  let values = Array.make n 0.0 and known = Array.make n false in
+  let below i =
+    if not known.(i) then begin
+      values.(i) <- f points.(i);
+      known.(i) <- true
+    end;
+    values.(i) <= 0.0
+  in
+  (* point by point inside the stride (lo, hi]; [below hi] is already
+     known to hold *)
+  let rec fine i hi = if i = hi || below i then i else fine (i + 1) hi in
   let rec coarse lo =
     if lo >= n - 1 then None
     else
       let hi = min (lo + scan_stride) (n - 1) in
-      if below points.(hi) then Some (fine (lo + 1) hi) else coarse hi
+      if below hi then Some (fine (lo + 1) hi) else coarse hi
   in
-  match coarse 0 with
-  | Some i -> Some (points.(i - 1), points.(i))
-  | None -> None
+  if below 0 then None
+  else
+    (* [i - 1] is point 0, a stride end or a fine point: all evaluated *)
+    match coarse 0 with
+    | Some i -> Some (points.(i - 1), values.(i - 1), points.(i), values.(i))
+    | None -> None
 
 let linspace a b n =
   assert (n >= 2);

@@ -55,15 +55,18 @@ val logspace : float -> float -> int -> float array
     inclusive ([a, b > 0], [n >= 2]). *)
 
 val scan_bracket :
-  below:(float -> bool) -> float array -> (float * float) option
-(** [scan_bracket ~below points] is [Some (points.(i - 1), points.(i))]
-    for the first [i >= 1] with [below points.(i)], or [None] when there
-    is none.  The scan is coarse-to-fine: [below] is tried on every 8th
-    point, then point by point inside the stride where it first held, so
-    a 121-point sweep costs about 20 calls instead of up to 120.  The
-    result equals the point-by-point scan unless [below] first holds at
-    some point and fails again at the next point the coarse pass tries,
-    i.e. the condition is entered and left within one stride. *)
+  f:(float -> float) -> float array -> (float * float * float * float) option
+(** [scan_bracket ~f points] is [Some (a, f a, b, f b)] with
+    [a = points.(i - 1)] and [b = points.(i)] for the first [i >= 1] with
+    [f points.(i) <= 0], or [None] when [f points.(0) <= 0] or there is
+    no such [i].  [f] is called at most once per point, and the returned
+    values are those calls' results, ready for {!brent}'s [?fa ?fb].  The
+    scan is coarse-to-fine: [f] is tried on every 8th point, then point by
+    point inside the stride where it first dropped to 0 or below, so a
+    121-point sweep costs about 20 calls instead of up to 121.  The result
+    equals the point-by-point scan unless [f] first drops to 0 or below
+    at some point and rises again by the next point the coarse pass
+    tries, i.e. within one stride. *)
 
 val linspace : float -> float -> int -> float array
 (** [linspace a b n] is [n] points linearly spaced from [a] to [b]. *)

@@ -18,25 +18,28 @@ let max_abs a = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 a
 exception Diverged
 
 (* One Newton solve of a compiled stamp program at fixed gmin/alpha.
-   Raises [Diverged] on failure.  Iteration counts, damping-scale retreats
-   and the residual at exit are recorded as a telemetry span when enabled.
+   Raises [Diverged] on failure.  Iteration counts (diverged attempts
+   included), damping-scale retreats and the residual at exit are
+   recorded as a telemetry span when enabled.
 
    Under the [Kernel] backend every iterate re-stamps the calling domain's
    reusable workspace and factors it in place, so the whole Newton loop
    performs no linear-algebra allocation; [Reference] rebuilds the boxed
    functor system per iterate exactly as the original implementation. *)
-let newton sv kind prog ~gmin ~alpha ~max_iter x0 =
+let newton sv kind prog ?border ~gmin ~alpha ~max_iter x0 =
   let x = Array.copy x0 in
   let drive = Stamps.dc alpha in
   let step_limit = 0.5 in
   (* local accumulators keep the hot loop free of telemetry lookups *)
+  let spent = ref 0 in
   let damped = ref 0 in
   let residual = ref infinity in
   let rec loop iter =
     if iter >= max_iter then raise Diverged
     else begin
+      spent := iter + 1;
       let delta, res =
-        try Stamps.newton_update sv kind prog ~gmin drive x
+        try Stamps.newton_update sv kind prog ~gmin ?border drive x
         with Linalg.Singular _ -> raise Diverged
       in
       let m = max_abs delta in
@@ -55,16 +58,20 @@ let newton sv kind prog ~gmin ~alpha ~max_iter x0 =
       ~args:[ ("gmin", Obs.Trace.Float gmin); ("alpha", Obs.Trace.Float alpha) ]
       "dcop.newton"
       (fun () ->
-        match loop 0 with
-        | x, iters ->
-          Obs.Trace.add_arg "iters" (Obs.Trace.Int iters);
+        let record () =
+          Obs.Trace.add_arg "iters" (Obs.Trace.Int !spent);
           Obs.Trace.add_arg "damped_steps" (Obs.Trace.Int !damped);
+          Obs.Metrics.add "sim.dcop.newton_iters" (float_of_int !spent);
+          Obs.Metrics.add "sim.dcop.damped_steps" (float_of_int !damped)
+        in
+        match loop 0 with
+        | r ->
+          record ();
           Obs.Trace.add_arg "residual" (Obs.Trace.Float !residual);
-          Obs.Metrics.add "sim.dcop.newton_iters" (float_of_int iters);
-          Obs.Metrics.add "sim.dcop.damped_steps" (float_of_int !damped);
           Obs.Metrics.set "sim.dcop.exit_residual" !residual;
-          (x, iters)
+          r
         | exception Diverged ->
+          record ();
           Obs.Trace.add_arg "diverged" (Obs.Trace.Bool true);
           Obs.Metrics.incr "sim.dcop.diverged_attempts";
           raise Diverged)
@@ -85,6 +92,14 @@ let device_ops_at proc kind circuit volt =
       in
       (dev.Device.Mos.name, Device.Op.compute proc kind dev bias))
     (Netlist.Circuit.mos_devices circuit)
+
+let record_solve ~t0 ~iters ~unknowns =
+  if Obs.Config.enabled () then begin
+    Obs.Metrics.incr "sim.dcop.solves";
+    Obs.Metrics.observe "sim.dcop.solve_us" (Obs.Clock.monotonic_us () -. t0);
+    Obs.Trace.add_arg "total_iters" (Obs.Trace.Int iters);
+    Obs.Trace.add_arg "unknowns" (Obs.Trace.Int unknowns)
+  end
 
 let solve ?backend ?(guess = fun _ -> None) ?(max_iter = 100) ?(gmin = 1e-12)
     ~proc ~kind circuit =
@@ -137,14 +152,55 @@ let solve ?backend ?(guess = fun _ -> None) ?(max_iter = 100) ?(gmin = 1e-12)
             Obs.Metrics.incr "sim.dcop.failures";
             raise (Phys.Numerics.No_convergence "Dcop.solve: DC analysis failed")))
   in
-  if (Obs.Config.enabled ()) then begin
-    Obs.Metrics.incr "sim.dcop.solves";
-    Obs.Metrics.observe "sim.dcop.solve_us" (Obs.Clock.monotonic_us () -. t0);
-    Obs.Trace.add_arg "total_iters" (Obs.Trace.Int !total_iters);
-    Obs.Trace.add_arg "unknowns" (Obs.Trace.Int (Indexing.size idx))
-  end;
+  record_solve ~t0 ~iters:!total_iters ~unknowns:(Indexing.size idx);
   { idx; x; ops_cache = None; iters = !total_iters; circ = circuit; proc;
     kind }
+
+(* The bordered system: the circuit's unknowns plus [u], and the circuit's
+   equations plus V(node) = target, with [u] entering the named sources.
+   Pinning the output keeps a high-gain bench out of saturation, so plain
+   Newton from the guess converges in a few iterates; a failure is final
+   (no continuation ladder), so a bench without a null costs at most
+   [null_max_iter] iterates. *)
+let null_max_iter = 50
+
+let null ?(guess = fun _ -> None) ~sources ~node ~target ~proc ~kind circuit =
+  Obs.Trace.with_span ~cat:"sim" ~args:[ ("null", Obs.Trace.Str node) ]
+    "dcop.solve"
+  @@ fun () ->
+  let t0 = Obs.Clock.monotonic_us () in
+  let idx = Indexing.build circuit in
+  let prog = Stamps.compile proc idx circuit in
+  let n = Indexing.size idx in
+  let border =
+    Stamps.border
+      ~shifts:(List.map (fun (name, k) -> (Indexing.vsource_index idx name, k)) sources)
+      ~node:(Indexing.node_index_exn idx node) ~target
+  in
+  let sv = Stamps.solver Stamps.Kernel (n + 1) in
+  let x0 = Array.append (initial_guess idx guess) [| 0.0 |] in
+  match
+    newton sv kind prog ~border ~gmin:1e-12 ~alpha:1.0 ~max_iter:null_max_iter
+      x0
+  with
+  | exception Diverged ->
+    raise
+      (Phys.Numerics.No_convergence
+         (Printf.sprintf "Dcop.null: no V(%s) = %g within %d Newton iterations"
+            node target null_max_iter))
+  | x, iters ->
+    record_solve ~t0 ~iters ~unknowns:(n + 1);
+    let u = x.(n) in
+    let circ =
+      List.fold_left
+        (fun c (name, k) ->
+          Netlist.Circuit.update_vsource name
+            (fun s -> { s with Netlist.Element.dc = s.Netlist.Element.dc +. (k *. u) })
+            c)
+        circuit sources
+    in
+    ( u,
+      { idx; x = Array.sub x 0 n; ops_cache = None; iters; circ; proc; kind } )
 
 let solve_result ?backend ?guess ?max_iter ?gmin ~proc ~kind circuit =
   match solve ?backend ?guess ?max_iter ?gmin ~proc ~kind circuit with

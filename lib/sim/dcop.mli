@@ -39,6 +39,28 @@ val solve_result :
     gmin/source stepping first).  Programming errors (bad netlists,
     unknown nets) still raise. *)
 
+val null :
+  ?guess:(string -> float option) ->
+  sources:(string * float) list ->
+  node:string ->
+  target:float ->
+  proc:Technology.Process.t ->
+  kind:Device.Model.kind ->
+  Netlist.Circuit.t -> float * t
+(** [null ~sources ~node ~target circuit] finds the input [u] that puts
+    [node] at [target] when each voltage source [(name, k)] of [sources]
+    is shifted by [k u] from its DC value in [circuit]: the offset null
+    of a differential bench is
+    [~sources:[ ("ip", 0.5); ("in", -0.5) ] ~node:"out"].  One Newton
+    solve of the bordered system (the circuit's unknowns plus [u], its
+    equations plus [V(node) = target]) from [guess] and [u = 0].  Returns
+    [u] and the operating point of [circuit] with its sources shifted by
+    [u], which that circuit holds.  A failure is final: there is no
+    gmin or source stepping, and the solve raises
+    [Phys.Numerics.No_convergence] after at most 50 iterations.  gmin is
+    {!solve}'s default, [1e-12].  Counted as a DC solve ([sim.dcop.solves], a
+    [dcop.solve] span). *)
+
 val voltage : t -> string -> float
 (** Node voltage; ground is 0. Raises [Invalid_argument] on unknown nets. *)
 

@@ -11,20 +11,18 @@ let phase_deg net ~out freq =
 
 let dc_gain ?(freq = 1.0) net ~out = magnitude net ~out freq
 
+(* Scan the 121-point grid of u = log f from fmin to fmax for the first
+   point with [g u <= 0] and refine on u from the bracket's known values. *)
+let crossing ~fmin ~fmax g =
+  let us = Phys.Numerics.linspace (log fmin) (log fmax) 121 in
+  match Phys.Numerics.scan_bracket ~f:g us with
+  | None -> None
+  | Some (a, fa, b, fb) ->
+    Some (exp (Phys.Numerics.brent ~tol:1e-9 ~fa ~fb ~f:g a b))
+
 let unity_gain_freq ?(fmin = 1.0) ?(fmax = 1e11) net ~out =
   Obs.Trace.with_span ~cat:"sim" "measure.unity_gain_freq" @@ fun () ->
-  let g f = log (magnitude net ~out f) in
-  if g fmin <= 0.0 then None
-  else begin
-    (* log sweep until |H| < 1, then refine on log-frequency *)
-    let points = Phys.Numerics.logspace fmin fmax 121 in
-    match Phys.Numerics.scan_bracket ~below:(fun f -> g f <= 0.0) points with
-    | None -> None
-    | Some (a, b) ->
-      let f u = g (exp u) in
-      let u = Phys.Numerics.brent ~tol:1e-9 ~f (log a) (log b) in
-      Some (exp u)
-  end
+  crossing ~fmin ~fmax (fun u -> log (magnitude net ~out (exp u)))
 
 let phase_margin_at net ~out fu =
   let ph = phase_deg net ~out fu in
@@ -47,13 +45,5 @@ let output_resistance ?(freq = 1.0) net ~out =
 
 let bandwidth_3db ?(fmin = 1.0) ?(fmax = 1e11) net ~out =
   Obs.Trace.with_span ~cat:"sim" "measure.bandwidth_3db" @@ fun () ->
-  let a0 = dc_gain ~freq:fmin net ~out in
-  let target = a0 /. sqrt 2.0 in
-  let g f = magnitude net ~out f -. target in
-  let points = Phys.Numerics.logspace fmin fmax 121 in
-  match Phys.Numerics.scan_bracket ~below:(fun f -> g f <= 0.0) points with
-  | None -> None
-  | Some (a, b) ->
-    let f u = g (exp u) in
-    let u = Phys.Numerics.brent ~tol:1e-9 ~f (log a) (log b) in
-    Some (exp u)
+  let target = dc_gain ~freq:fmin net ~out /. sqrt 2.0 in
+  crossing ~fmin ~fmax (fun u -> magnitude net ~out (exp u) -. target)

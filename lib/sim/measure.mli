@@ -18,10 +18,12 @@ val dc_gain : ?freq:float -> Acs.t -> out:string -> float
 
 val unity_gain_freq :
   ?fmin:float -> ?fmax:float -> Acs.t -> out:string -> float option
-(** Frequency where |H| crosses 1: the first point of a 121-point log
-    sweep with |H| <= 1, found by {!Phys.Numerics.scan_bracket}, and the
-    point before it bracket a Brent refinement on log-frequency.  [None]
-    when |H| never reaches 1 in the range (default 1 Hz .. 100 GHz). *)
+(** Frequency where |H| crosses 1: the first point of a 121-point sweep
+    evenly spaced in log-frequency with |H| <= 1, found by
+    {!Phys.Numerics.scan_bracket}, and the point before it bracket a
+    Brent refinement on log-frequency that reuses both ends' values.
+    [None] when |H| <= 1 already at [fmin] or never reaches 1 in the
+    range (default 1 Hz .. 100 GHz). *)
 
 val phase_margin : Acs.t -> out:string -> float option
 (** 180 + phase(H(fu)) in degrees at the unity-gain frequency. *)

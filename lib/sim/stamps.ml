@@ -217,6 +217,27 @@ let stamp kind prog ctx ~gmin drive =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Bordered system                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One extra unknown [u] (the last one) shifts voltage-source values by
+   [k u], and one extra row pins a node: V(node) - target = 0. *)
+type border = { shifts : (int * float) list; node : int; target : float }
+
+let border ~shifts ~node ~target = { shifts; node; target }
+
+let stamp_border ctx b =
+  let col = Array.length ctx.x - 1 in
+  let u = ctx.x.(col) in
+  List.iter
+    (fun (row, k) ->
+      ctx.f.(row) <- ctx.f.(row) -. (k *. u);
+      madd ctx row col (-.k))
+    b.shifts;
+  ctx.f.(col) <- ctx.x.(b.node) -. b.target;
+  madd ctx col b.node 1.0
+
+(* ------------------------------------------------------------------ *)
 (* Newton update                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -229,7 +250,11 @@ let solver backend n =
 
 let max_abs a = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 a
 
-let newton_update sv kind prog ~gmin drive x =
+let stamp_all kind prog ctx ~gmin ?border drive =
+  stamp kind prog ctx ~gmin drive;
+  Option.iter (stamp_border ctx) border
+
+let newton_update sv kind prog ~gmin ?border drive x =
   let n = sv.n in
   assert (Array.length x = n);
   match sv.ws with
@@ -239,7 +264,8 @@ let newton_update sv kind prog ~gmin drive x =
     Df.clear w.Linalg.Ws.jac;
     Array.fill w.Linalg.Ws.rhs 0 n 0.0;
     let f = w.Linalg.Ws.rhs in
-    stamp kind prog { jac = Unboxed w.Linalg.Ws.jac; f; x } ~gmin drive;
+    stamp_all kind prog { jac = Unboxed w.Linalg.Ws.jac; f; x } ~gmin ?border
+      drive;
     for i = 0 to n - 1 do
       Array.unsafe_set f i (-.(Array.unsafe_get f i))
     done;
@@ -249,5 +275,5 @@ let newton_update sv kind prog ~gmin drive x =
     (w.Linalg.Ws.delta, max_abs f)
   | None ->
     let m = R.create n n and f = Array.make n 0.0 in
-    stamp kind prog { jac = Boxed m; f; x } ~gmin drive;
+    stamp_all kind prog { jac = Boxed m; f; x } ~gmin ?border drive;
     (R.solve m (Array.map (fun v -> -.v) f), max_abs f)

@@ -50,6 +50,17 @@ val transient :
     the exact (unmemoized) model; the drive then serves every Newton
     iterate of the step. *)
 
+type border
+(** The bordering of a system by one extra unknown [u], the last entry of
+    the iterate, and one extra row.  [u] shifts the values of some voltage
+    sources; the row pins one node voltage to a target. *)
+
+val border : shifts:(int * float) list -> node:int -> target:float -> border
+(** [border ~shifts ~node ~target]: each [(row, k)] of [shifts] adds
+    [k u] to the value of the voltage source whose branch row is [row]
+    (its Jacobian column holds [-k] there), and the extra row is
+    [V(node) - target = 0]. *)
+
 type solver
 (** A backend bound to a system size; for [Kernel], the calling domain's
     reusable workspace. *)
@@ -57,10 +68,12 @@ type solver
 val solver : backend -> int -> solver
 
 val newton_update :
-  solver -> Device.Model.kind -> prog -> gmin:float -> drive -> float array ->
-  float array * float
+  solver -> Device.Model.kind -> prog -> gmin:float -> ?border:border ->
+  drive -> float array -> float array * float
 (** [newton_update sv kind prog ~gmin drive x] stamps the circuit at
     iterate [x] (with [gmin] to ground on every node) and solves
     [J delta = -f].  Returns [delta] and the residual's max-norm.  Under
     [Kernel], [delta] is the workspace buffer: consume it before the next
-    call.  Raises [Linalg.Singular] on a singular Jacobian. *)
+    call.  With [border] the system, the solver and [x] have one more
+    unknown than the program.  Raises [Linalg.Singular] on a singular
+    Jacobian. *)

@@ -292,7 +292,10 @@ let size_with ?(knobs = no_knobs) ?(dev_eval = Exact_model) ~proc ~kind ~spec
   in
   let pm_slack = 1.0 in
   let rec outer ~cout_par ~i2_ratio ~iter =
-    if iter > 40 then failwith "Folded_cascode.size: sizing did not converge"
+    if iter > 40 then
+      raise
+        (Phys.Numerics.No_convergence
+           "Folded_cascode.size: sizing did not converge")
     else begin
       let rec pick = function
         | [] -> None

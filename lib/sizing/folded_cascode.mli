@@ -68,7 +68,9 @@ val size :
   design
 (** [size_with] at the plan's own operating point with exact models.
     Raises [Failure] when the specification cannot be met (e.g. the
-    output range does not fit the supply). *)
+    output range does not fit the supply), and
+    [Phys.Numerics.No_convergence] when the plan's phase-margin loop does
+    not settle within 40 passes. *)
 
 val size_with :
   ?knobs:knobs ->
@@ -82,8 +84,10 @@ val size_with :
 (** The optimizer entry point: run the same COMDIAC plan with some
     operating-point choices overridden and (optionally) the forward
     device evaluations interpolated from {!Device.Lut} grids.  Raises
-    [Failure] when the plan does not converge under the given knob
-    overrides — the optimizer treats that as an infeasible candidate. *)
+    [Failure] when the spec cannot be met and
+    [Phys.Numerics.No_convergence] when the plan does not converge under
+    the given knob overrides — the optimizer treats both as an infeasible
+    candidate. *)
 
 val drain_currents : design -> (string * float) list
 (** DC drain current magnitude per device — the information passed to the

@@ -126,7 +126,7 @@ let run ?seed ?(n = 50) ?ctx ?jobs ?proc ~kind ~spec amp =
               gbw =
                 (match Testbench.gbw tb with Some f -> f | None -> Float.nan);
             }
-        | exception (Phys.Numerics.No_convergence _ | Failure _) -> None)
+        | exception Phys.Numerics.No_convergence _ -> None)
   in
   let samples =
     Obs.Trace.with_span ~cat:"comdiac"

@@ -36,7 +36,7 @@ let measure_point ?rebias ~proc ~kind ~spec ~corner ~temperature amp =
       power = Testbench.power tb;
       biased = true;
     }
-  | exception (Phys.Numerics.No_convergence _ | Failure _) ->
+  | exception Phys.Numerics.No_convergence _ ->
     {
       corner;
       temperature;

@@ -12,6 +12,16 @@ val make :
   kind:Device.Model.kind ->
   spec:Spec.t ->
   Amp.t -> t
+(** Null the offset of the open-loop bench (one {!Sim.Dcop.null} solve).
+    Raises [Phys.Numerics.No_convergence] when the null fails to
+    converge or lies beyond +/-128 mV. *)
+
+val open_loop_circuit :
+  ?vcm:float -> Spec.t -> Amp.t -> vdiff:float -> ac_dm:float -> ac_cm:float ->
+  Netlist.Circuit.t
+(** The open-loop bench: supply, load and the input sources at
+    [vcm +/- vdiff / 2] (default [vcm]: the spec's input common mode).
+    The AC stimulus is [ac_dm] differential plus [ac_cm] common mode. *)
 
 val offset : t -> float
 (** Input-referred offset: the differential input that centres the output

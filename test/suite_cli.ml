@@ -132,6 +132,22 @@ let test_job_no_daemon () =
   let addr = Printf.sprintf "127.0.0.1:%d" port in
   check_unreachable "refused tcp port" [ "--tcp"; addr ] ~target:addr
 
+(* The 45 MHz sizing hole fails as a typed non-convergence, not an
+   internal error. *)
+let test_sizing_hole_typed () =
+  let code, out, _ =
+    run [ "synth"; "--case"; "2"; "--gbw"; "45"; "--cl"; "3"; "--format"; "json" ]
+  in
+  Alcotest.(check int) "exit 1" 1 code;
+  let member k j = Option.bind j (Obs.Json.member k) in
+  let field k =
+    match member k (member "error" (Result.to_option (Obs.Json.parse out))) with
+    | Some (Obs.Json.Str s) -> s
+    | _ -> Alcotest.failf "no error.%s in %s" k out
+  in
+  Alcotest.(check string) "error kind" "no_convergence" (field "kind");
+  Alcotest.(check string) "analysis" "flow" (field "analysis")
+
 let suite =
   ( "cli",
     [
@@ -140,4 +156,6 @@ let suite =
       case "stats --repeat 0 stays valid" test_repeat_zero_valid;
       case "seed: --seed > LOSAC_SEED > default" test_seed_env;
       case "job without a daemon exits 1" test_job_no_daemon;
+      case "45 MHz sizing hole is a typed no_convergence"
+        test_sizing_hole_typed;
     ] )

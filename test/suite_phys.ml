@@ -100,6 +100,28 @@ let prop_brent_endpoint_values =
       Int64.equal (Int64.bits_of_float plain) (Int64.bits_of_float given)
       && !calls = plain_calls - 2)
 
+(* The scan evaluates each grid point at most once, hands back the values
+   of the bracket ends it evaluated, and finds the first sign change on a
+   decreasing function. *)
+let prop_scan_bracket_values =
+  QCheck.Test.make ~name:"scan_bracket: one call per point, ends' values"
+    ~count:300
+    QCheck.(pair (int_range 2 200) (float_range (-0.5) 1.5))
+    (fun (n, r) ->
+      let points = Phys.Numerics.linspace 0.0 1.0 n in
+      let calls = Hashtbl.create n in
+      let f x =
+        Hashtbl.replace calls x (1 + Option.value ~default:0 (Hashtbl.find_opt calls x));
+        r -. x
+      in
+      let result = Phys.Numerics.scan_bracket ~f points in
+      Hashtbl.fold (fun _ c ok -> ok && c = 1) calls true
+      &&
+      match result with
+      | None -> r <= 0.0 || r > 1.0
+      | Some (a, fa, b, fb) ->
+        fa = r -. a && fb = r -. b && fa > 0.0 && fb <= 0.0)
+
 let prop_interp_within_hull =
   QCheck.Test.make ~name:"linear interpolation stays within value hull"
     ~count:200
@@ -132,4 +154,5 @@ let suite =
       case "thermal voltage" test_thermal_voltage;
     ]
     @ qcheck_cases
-        [ prop_brent_finds_roots; prop_brent_endpoint_values; prop_interp_within_hull ] )
+        [ prop_brent_finds_roots; prop_brent_endpoint_values;
+          prop_scan_bracket_values; prop_interp_within_hull ] )

@@ -326,6 +326,28 @@ let test_served_equals_direct () =
         (String.equal expected got))
     results
 
+(* A served synth job in the 45 MHz sizing hole fails as a typed
+   non-convergence, the document the one-shot CLI prints. *)
+let test_served_sizing_hole_typed () =
+  with_server @@ fun _server path ->
+  let req =
+    P.request ~id:3
+      ~spec:{ spec with Comdiac.Spec.gbw = 45e6; cload = 3e-12 }
+      (P.Synth { case = Option.get (P.case_of_int 2) })
+  in
+  let c = Serve.Client.connect path in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Serve.Client.close c)
+      (fun () -> Serve.Client.call c req)
+  in
+  (match r.P.status with
+   | P.Failed (Sim.Sim_error.No_convergence { analysis; _ }) ->
+     Alcotest.(check string) "analysis" "flow" analysis
+   | s -> Alcotest.failf "expected no_convergence, got %s" (P.status_string s));
+  Alcotest.(check string) "served = direct" (P.canonical (Serve.Api.execute req))
+    (P.canonical r)
+
 let test_optimize_served_equals_direct () =
   (* the optimize workload over the wire must return the byte-identical
      canonical response the one-shot `losac optimize --format json`
@@ -780,4 +802,8 @@ let suite =
         [
           prop_float_roundtrip; prop_request_roundtrip;
           prop_conflicting_ctx_identity;
-        ] )
+        ]
+    @ [
+        case "45 MHz sizing hole served as a typed no_convergence"
+          test_served_sizing_hole_typed;
+      ] )

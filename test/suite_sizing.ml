@@ -346,11 +346,13 @@ let test_slew_early_stop () =
       Alcotest.(check bool) "a Newton iteration per step at least" true
         (Obs.Metrics.counter "sim.tran.newton_iters" >= steps)))
 
-(* One bench plus its GBW: the offset null reuses the bracket ends'
-   values and the root's DC solve, the common-mode bench is not built,
-   and the unity-gain scan is coarse-to-fine.  These take 7 DC and 23 AC
-   solves here; re-solving the root, building the common-mode bench and
-   scanning point by point took 11 and 92. *)
+(* One bench plus its GBW: the offset null is one bordered Newton solve,
+   the common-mode bench is not built, and the unity-gain scan is
+   coarse-to-fine and hands its bracket ends' values to Brent.  These take
+   1 DC and 21 AC solves here; the bracket-and-Brent null took 7 DC solves
+   and left the output within 1 uV of its target, re-solving the root,
+   building the common-mode bench and scanning point by point took 11 DC
+   and 92 AC solves. *)
 let test_bench_solve_counts () =
   let amp = (Lazy.force design_nf1).FC.amp in
   Obs.Config.with_enabled true (fun () ->
@@ -360,13 +362,153 @@ let test_bench_solve_counts () =
       let dc = Obs.Metrics.counter "sim.dcop.solves" in
       ignore (Comdiac.Testbench.gbw tb);
       let ac = Obs.Metrics.counter "sim.acs.solves" in
-      check_in_range "sim.dcop.solves" 1.0 8.0 dc;
-      check_in_range "sim.acs.solves" 1.0 30.0 ac;
-      (* the looked-up operating point is the one at the nulled offset *)
+      check_in_range "sim.dcop.solves" 1.0 2.0 dc;
+      check_in_range "sim.acs.solves" 1.0 21.0 ac;
+      (* the operating point is the one at the nulled offset *)
       let target = amp.Comdiac.Amp.quiescent_out in
-      check_in_range "output at the quiescent target" (target -. 1e-3)
-        (target +. 1e-3)
+      check_in_range "output at the quiescent target" (target -. 1e-9)
+        (target +. 1e-9)
         (Sim.Dcop.voltage (Comdiac.Testbench.operating_point tb) "out")))
+
+(* --- offset null against the bracket-and-Brent oracle ------------------- *)
+
+module TB = Comdiac.Testbench
+module MC = Comdiac.Montecarlo
+
+(* The earlier null, kept as the oracle of the bordered solve: bracket
+   the output's crossing of its target with full DC solves at +/-2, 8,
+   32 and 128 mV, then Brent on the differential input. *)
+let oracle_null ?vcm ~proc ~kind ~spec amp =
+  let target = amp.Comdiac.Amp.quiescent_out in
+  let guess = Comdiac.Amp.guess_fn amp ~extra:[ ("vdd", spec.Spec.vdd) ] in
+  let solved = ref [] in
+  let f vdiff =
+    let c = TB.open_loop_circuit ?vcm spec amp ~vdiff ~ac_dm:1.0 ~ac_cm:0.0 in
+    let dc = Sim.Dcop.solve ~guess ~proc ~kind c in
+    solved := (vdiff, dc) :: !solved;
+    Sim.Dcop.voltage dc "out" -. target
+  in
+  let rec bracket w =
+    if w > 0.3 then failwith "oracle: cannot bracket the offset"
+    else
+      let fa = f (-.w) and fb = f w in
+      if fa *. fb <= 0.0 then (w, fa, fb) else bracket (w *. 4.0)
+  in
+  let w, fa, fb = bracket 2e-3 in
+  let vos = Phys.Numerics.brent ~tol:1e-9 ~max_iter:80 ~fa ~fb ~f (-.w) w in
+  (vos, List.assoc vos !solved)
+
+let oracle_gain_at_vcm ~proc ~kind ~spec amp vcm =
+  match oracle_null ~vcm ~proc ~kind ~spec amp with
+  | _, dc -> Sim.Measure.dc_gain (Sim.Acs.prepare dc) ~out:"out"
+  | exception (Failure _ | Phys.Numerics.No_convergence _) -> 0.0
+
+(* [Testbench.common_mode_range] over the oracle null. *)
+let oracle_common_mode_range ?(points = 34) ~proc ~kind ~spec amp =
+  let vcms = Phys.Numerics.linspace 0.0 spec.Spec.vdd points in
+  let gains = Array.map (oracle_gain_at_vcm ~proc ~kind ~spec amp) vcms in
+  let peak = Array.fold_left Float.max 0.0 gains in
+  let ok g = g >= peak /. sqrt 2.0 in
+  let nominal = Spec.input_common_mode spec in
+  let nearest = ref 0 in
+  Array.iteri
+    (fun i v ->
+      if Float.abs (v -. nominal) < Float.abs (vcms.(!nearest) -. nominal)
+      then nearest := i)
+    vcms;
+  let rec down i = if i > 0 && ok gains.(i - 1) then down (i - 1) else i in
+  let rec up i = if i < points - 1 && ok gains.(i + 1) then up (i + 1) else i in
+  if not (ok gains.(!nearest)) then (nominal, nominal)
+  else (vcms.(down !nearest), vcms.(up !nearest))
+
+let rel_close a b =
+  (Float.is_nan a && Float.is_nan b) || Phys.Numerics.close ~rel:1e-6 a b
+
+(* Both nulls succeed or both fail; where they succeed the offsets agree
+   within 1 nV and the DC gain and GBW within 1e-6. *)
+let null_matches_oracle ~spec amp =
+  let bench =
+    try Some (TB.make ~proc ~kind ~spec amp)
+    with Phys.Numerics.No_convergence _ -> None
+  in
+  let oracle =
+    try Some (oracle_null ~proc ~kind ~spec amp)
+    with Failure _ | Phys.Numerics.No_convergence _ -> None
+  in
+  match (bench, oracle) with
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+  | Some tb, Some (vos, dc) ->
+    let net = Sim.Acs.prepare dc in
+    let gbw = function Some f -> f | None -> Float.nan in
+    Float.abs (TB.offset tb -. vos) <= 1e-9
+    && rel_close (TB.dc_gain tb) (Sim.Measure.dc_gain net ~out:"out")
+    && rel_close (gbw (TB.gbw tb)) (gbw (Sim.Measure.unity_gain_freq net ~out:"out"))
+
+(* Over random specs of the GBW 30-100 MHz x C_L 1.5-5 pF lattice (the
+   45 MHz sizing hole left out, so every flow succeeds) and random Monte
+   Carlo seeds and sample indices, for every Table-1 case, synthesized
+   and extracted, nominal and mismatched. *)
+let prop_null_matches_oracle =
+  QCheck.Test.make ~count:3
+    ~name:"offset null = bracket-and-Brent oracle (4 cases, MC samples)"
+    QCheck.(
+      quad (int_range 0 1_000_000) (int_range 0 10_000) (int_range 0 13)
+        (int_range 0 7))
+    (fun (seed, index, g, c) ->
+      let mhz = 30.0 +. (5.0 *. float_of_int (if g >= 3 then g + 1 else g)) in
+      let spec =
+        { spec with
+          Spec.gbw = mhz *. 1e6;
+          cload = (1.5 +. (0.5 *. float_of_int c)) *. 1e-12 }
+      in
+      let case_ok case =
+        let r = Flow.run ~proc ~kind ~spec case in
+        List.for_all
+          (fun amp ->
+            List.for_all (null_matches_oracle ~spec)
+              (amp
+               :: List.init 2 (fun i -> MC.sample_amp ~proc ~seed (index + i) amp)))
+          [ r.Flow.design.FC.amp; Flow.extracted_amp proc r.Flow.design r.Flow.report ]
+      in
+      List.for_all case_ok Flow.all_cases)
+
+(* The measured input common-mode range of the Table-1 designs is the
+   oracle's interval. *)
+let test_cm_range_oracle () =
+  List.iter
+    (fun case ->
+      let r = Flow.run ~proc ~kind ~spec case in
+      List.iter
+        (fun (label, amp) ->
+          let lo, hi = TB.common_mode_range (TB.make ~proc ~kind ~spec amp) in
+          let lo', hi' = oracle_common_mode_range ~proc ~kind ~spec amp in
+          let label = Flow.case_label case ^ " " ^ label in
+          Alcotest.(check (float 0.0)) (label ^ ": low end") lo' lo;
+          Alcotest.(check (float 0.0)) (label ^ ": high end") hi' hi)
+        [ ("synthesized", r.Flow.design.FC.amp);
+          ("extracted", Flow.extracted_amp proc r.Flow.design r.Flow.report) ])
+    Flow.all_cases
+
+(* A bench with no null within 128 mV (input common mode 50 mV below
+   VDD) fails as a non-convergence within the null's Newton budget: no
+   gmin or source stepping, no other DC solve. *)
+let test_null_failure_bounded () =
+  let amp = (Lazy.force design_nf1).FC.amp in
+  let near_vdd = { spec with Spec.icmr = (3.2, 3.3) } in
+  Obs.Config.with_enabled true (fun () ->
+    Obs.Metrics.reset ();
+    Fun.protect ~finally:Obs.Metrics.reset (fun () ->
+      Alcotest.(check bool) "raises No_convergence" true
+        (match TB.make ~proc ~kind ~spec:near_vdd amp with
+         | exception Phys.Numerics.No_convergence _ -> true
+         | _ -> false);
+      check_in_range "sim.dcop.newton_iters" 1.0 50.0
+        (Obs.Metrics.counter "sim.dcop.newton_iters");
+      Alcotest.(check (float 0.0)) "no gmin stepping" 0.0
+        (Obs.Metrics.counter "sim.dcop.gmin_stepping_runs");
+      Alcotest.(check (float 0.0)) "no source stepping" 0.0
+        (Obs.Metrics.counter "sim.dcop.source_stepping_runs")))
 
 let suite =
   ( "sizing",
@@ -393,5 +535,7 @@ let suite =
       case "slew within 1% of the oracle: lattice points" test_slew_oracle_lattice;
       case "slew bench stops each edge early" test_slew_early_stop;
       case "bench + gbw solve counts" test_bench_solve_counts;
+      case "common-mode range = oracle: Table-1 cases" test_cm_range_oracle;
+      case "failed null is typed and bounded" test_null_failure_bounded;
     ]
-    @ qcheck_cases [ prop_sizing_scales_with_load ] )
+    @ qcheck_cases [ prop_sizing_scales_with_load; prop_null_matches_oracle ] )

@@ -161,16 +161,15 @@ let oracle_bracket ~below points =
   in
   scan 1
 
+let log_freq_grid = Phys.Numerics.linspace (log 1.0) (log 1e11) 121
+
 let oracle_unity_gain_freq net ~out =
-  let g f = log (Sim.Measure.magnitude net ~out f) in
-  if g 1.0 <= 0.0 then None
+  let g u = log (Sim.Measure.magnitude net ~out (exp u)) in
+  if g log_freq_grid.(0) <= 0.0 then None
   else
-    let points = Phys.Numerics.logspace 1.0 1e11 121 in
-    match oracle_bracket ~below:(fun f -> g f <= 0.0) points with
+    match oracle_bracket ~below:(fun u -> g u <= 0.0) log_freq_grid with
     | None -> None
-    | Some (a, b) ->
-      let f u = g (exp u) in
-      Some (exp (Phys.Numerics.brent ~tol:1e-9 ~f (log a) (log b)))
+    | Some (a, b) -> Some (exp (Phys.Numerics.brent ~tol:1e-9 ~f:g a b))
 
 (* Over random specs of the GBW 30-100 MHz x C_L 1.5-5 pF lattice and
    random Monte Carlo seeds, for every Table-1 case, synthesized and
@@ -191,16 +190,17 @@ let prop_bracket_matches_oracle =
           Comdiac.Spec.gbw = mhz *. 1e6;
           cload = (1.5 +. (0.5 *. float_of_int c)) *. 1e-12 }
       in
-      let points = Phys.Numerics.logspace 1.0 1e11 121 in
       let bits = Option.map Int64.bits_of_float in
       let bench_ok amp =
         match Comdiac.Testbench.make ~proc ~kind ~spec amp with
         | exception (Failure _ | Phys.Numerics.No_convergence _) -> true
         | tb ->
           let net = Sim.Acs.prepare (Comdiac.Testbench.operating_point tb) in
-          let below f = log (Sim.Measure.magnitude net ~out:"out" f) <= 0.0 in
+          let g u = log (Sim.Measure.magnitude net ~out:"out" (exp u)) in
           let oracle = oracle_unity_gain_freq net ~out:"out" in
-          Phys.Numerics.scan_bracket ~below points = oracle_bracket ~below points
+          Option.map (fun (a, _, b, _) -> (a, b))
+            (Phys.Numerics.scan_bracket ~f:g log_freq_grid)
+          = oracle_bracket ~below:(fun u -> g u <= 0.0) log_freq_grid
           && bits (Sim.Measure.unity_gain_freq net ~out:"out") = bits oracle
           && bits (Comdiac.Testbench.gbw tb) = bits oracle
       in
