@@ -968,13 +968,32 @@ let job_cmd =
           $ timeout $ telemetry $ socket_arg $ tcp_arg $ canonical
           $ show_events $ target $ cancel_after)
 
+(* A simulator failure that escapes a text-mode command is reported as
+   one line, [losac: <kind>: <message>], with the exit status 1 that the
+   JSON mode gives its typed error; any other exception stays an
+   internal error (125). *)
 let () =
   let info =
     Cmd.info "losac" ~version:"1.0.0"
       ~doc:"Layout-oriented synthesis of high performance analog circuits."
   in
+  let cmd =
+    Cmd.group info
+      [ size_cmd; synth_cmd; layout_cmd; verify_cmd; optimize_cmd;
+        stats_cmd; tech_cmd; serve_cmd; job_cmd ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ size_cmd; synth_cmd; layout_cmd; verify_cmd; optimize_cmd;
-            stats_cmd; tech_cmd; serve_cmd; job_cmd ]))
+    (try Cmd.eval ~catch:false cmd with
+     | e ->
+       let bt = Printexc.get_raw_backtrace () in
+       let analysis = if Array.length Sys.argv > 1 then Sys.argv.(1) else "losac" in
+       (match Sim.Sim_error.of_exn ~analysis e with
+        | Some err ->
+          Format.eprintf "losac: %s: %s@." (Sim.Sim_error.kind err)
+            (Sim.Sim_error.message err);
+          1
+        | None ->
+          Format.eprintf "losac: internal error, uncaught exception:@.%s@.%s@."
+            (Printexc.to_string e)
+            (Printexc.raw_backtrace_to_string bt);
+          Cmd.Exit.internal_error))

@@ -32,10 +32,10 @@ let () =
         (if d < 0.02 then "  <- converged" else ""))
     deltas;
   Format.printf
-    "sizing passes: %.0f  Newton iterations: %.0f  AC factorizations: %.0f@.@."
+    "sizing passes: %.0f  Newton iterations: %.0f  AC reductions: %.0f@.@."
     (Obs.Metrics.counter "flow.sizing_passes")
     (Obs.Metrics.counter "sim.dcop.newton_iters")
-    (Obs.Metrics.counter "sim.acs.factorizations");
+    (Obs.Metrics.counter "sim.acs.reductions");
   let report = r.Flow.report in
   Format.printf "floorplan %d x %d lambda@." report.Plan.total_w
     report.Plan.total_h;

@@ -140,3 +140,57 @@ let lu_solve_into m ~piv ~b ~x =
     done;
     Array.unsafe_set x i (!acc /. FA.unsafe_get a ((i * n) + i))
   done
+
+(* Solve Aᵀ x = b from the factors of A (P A = L U): Uᵀ s = b forward,
+   Lᵀ t = s backward, both by rows of the factors, then x = Pᵀ t. *)
+let lu_solve_t_into m ~piv ~b ~x =
+  let n = m.r in
+  assert (Array.length b = n && Array.length x = n && Array.length piv = n);
+  if (Obs.Config.enabled ()) then Obs.Metrics.incr "linalg.real.solves";
+  let a = m.a in
+  let t = Array.copy b in
+  for i = 0 to n - 1 do
+    let ti = t.(i) /. FA.get a ((i * n) + i) in
+    t.(i) <- ti;
+    for j = i + 1 to n - 1 do
+      t.(j) <- t.(j) -. (FA.get a ((i * n) + j) *. ti)
+    done
+  done;
+  for i = n - 1 downto 1 do
+    let ti = t.(i) in
+    for j = 0 to i - 1 do
+      t.(j) <- t.(j) -. (FA.get a ((i * n) + j) *. ti)
+    done
+  done;
+  for i = 0 to n - 1 do
+    x.(piv.(i)) <- t.(i)
+  done
+
+(* A⁻¹ X for X given by rows, by row operations on the rows of [x]; each
+   entry sees the operations of [lu_solve_into] in the same order. *)
+let lu_solve_rows m ~piv x =
+  let n = m.r in
+  assert (Array.length x = n && Array.length piv = n);
+  let a = m.a in
+  let y = Array.init n (fun i -> x.(piv.(i))) in
+  let sub_scaled yi f yj =
+    for k = 0 to Array.length yi - 1 do
+      Array.unsafe_set yi k (Array.unsafe_get yi k -. (f *. Array.unsafe_get yj k))
+    done
+  in
+  for i = 1 to n - 1 do
+    for j = 0 to i - 1 do
+      let l = FA.get a ((i * n) + j) in
+      if l <> 0.0 then sub_scaled y.(i) l y.(j)
+    done
+  done;
+  for i = n - 1 downto 0 do
+    let yi = y.(i) in
+    for j = i + 1 to n - 1 do
+      let u = FA.get a ((i * n) + j) in
+      if u <> 0.0 then sub_scaled yi u y.(j)
+    done;
+    let d = FA.get a ((i * n) + i) in
+    Array.iteri (fun k v -> yi.(k) <- v /. d) yi
+  done;
+  y

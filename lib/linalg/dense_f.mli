@@ -45,3 +45,12 @@ val lu_factor_in_place : t -> piv:int array -> unit
 val lu_solve_into : t -> piv:int array -> b:float array -> x:float array -> unit
 (** Forward/back substitution of a factored matrix into [x] ([x] must not
     alias [b]).  Zero allocation. *)
+
+val lu_solve_t_into : t -> piv:int array -> b:float array -> x:float array -> unit
+(** The transposed solve Aᵀ x = b from the same factors ([x] must not
+    alias [b]). *)
+
+val lu_solve_rows : t -> piv:int array -> float array array -> float array array
+(** [lu_solve_rows m ~piv x] is A⁻¹ X for X given by its rows [x], as
+    rows.  It works in the rows of [x], which it takes over; every column
+    comes out as {!lu_solve_into} would give it. *)

@@ -4,7 +4,7 @@
    A workspace bundles everything a dense factor/solve needs — the matrix,
    right-hand side, solution vector and pivot buffer — so repeated solves
    of same-sized systems (Newton iterates, gmin/alpha continuation steps,
-   AC sweep points, Monte Carlo samples) re-stamp into the same memory and
+   transient steps, Monte Carlo samples) re-stamp into the same memory and
    allocate nothing.  Domain-local storage makes concurrent use from the
    [Par.Pool] safe without locks: each worker domain materialises its own
    workspace on first use.
@@ -17,19 +17,6 @@ type real = {
   rhs : float array;
   delta : float array;
   piv : int array;
-}
-
-type cx = {
-  y : Dense_c.t;
-  cpiv : int array;
-  b_re : float array;
-  b_im : float array;
-  x_re : float array;
-  x_im : float array;
-  mutable serial : int;
-      (* bumped by every factorisation into [y]; lets a solve handle
-         detect that the workspace has since been re-factored for a
-         different system and transparently re-factor (see Sim.Acs) *)
 }
 
 let count_acquire hit =
@@ -52,31 +39,6 @@ let real n =
         rhs = Array.make n 0.0;
         delta = Array.make n 0.0;
         piv = Array.make n 0;
-      }
-    in
-    Hashtbl.add tbl n ws;
-    count_acquire false;
-    ws
-
-let cx_key : (int, cx) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
-let cx n =
-  let tbl = Domain.DLS.get cx_key in
-  match Hashtbl.find_opt tbl n with
-  | Some ws ->
-    count_acquire true;
-    ws
-  | None ->
-    let ws =
-      {
-        y = Dense_c.create n;
-        cpiv = Array.make n 0;
-        b_re = Array.make n 0.0;
-        b_im = Array.make n 0.0;
-        x_re = Array.make n 0.0;
-        x_im = Array.make n 0.0;
-        serial = 0;
       }
     in
     Hashtbl.add tbl n ws;

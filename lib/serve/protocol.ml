@@ -163,19 +163,16 @@ let sim_error_to_json (e : Sim.Sim_error.t) =
   let fields =
     match e with
     | Sim.Sim_error.No_convergence { analysis; detail } ->
-      [ ("kind", J.Str "no_convergence");
-        ("analysis", J.Str analysis);
-        ("detail", J.Str detail) ]
+      [ ("analysis", J.Str analysis); ("detail", J.Str detail) ]
     | Sim.Sim_error.Singular_matrix { analysis; column } ->
-      [ ("kind", J.Str "singular_matrix");
-        ("analysis", J.Str analysis);
+      [ ("analysis", J.Str analysis);
         ("column", J.Num (float_of_int column)) ]
     | Sim.Sim_error.Timeout { analysis; after_s } ->
-      [ ("kind", J.Str "timeout");
-        ("analysis", J.Str analysis);
-        ("after_s", J.Num after_s) ]
+      [ ("analysis", J.Str analysis); ("after_s", J.Num after_s) ]
   in
-  J.Obj (fields @ [ ("message", J.Str (Sim.Sim_error.message e)) ])
+  J.Obj
+    ((("kind", J.Str (Sim.Sim_error.kind e)) :: fields)
+     @ [ ("message", J.Str (Sim.Sim_error.message e)) ])
 
 let status_string = function
   | Done -> "ok"

@@ -6,10 +6,10 @@ type contribution = {
   flicker : float;
 }
 
-let output_psd dcop net ~out ~freq =
+(* Total and per-element output PSD from the adjoint solution at [freq]. *)
+let psd_of dcop adj ~freq =
   let proc = Dcop.process dcop in
-  let f = Acs.factor net ~freq in
-  let transfer_sq ~p ~n = Acs.injection_gain2 f ~p ~n ~out in
+  let transfer_sq ~p ~n = Acs.injection_gain2 adj ~p ~n in
   let contributions =
     List.filter_map
       (fun e ->
@@ -40,17 +40,17 @@ let output_psd dcop net ~out ~freq =
   in
   (total, contributions)
 
-let input_referred_psd dcop net ~out ~gain ~freq =
-  let total, _ = output_psd dcop net ~out ~freq in
-  total /. Complex.norm2 gain
+let output_psd dcop net ~out ~freq =
+  psd_of dcop (Acs.adjoint net ~freq ~out) ~freq
+
+let input_referred_psd dcop net ~out ~freq =
+  let adj = Acs.adjoint net ~freq ~out in
+  fst (psd_of dcop adj ~freq) /. Complex.norm2 (Acs.source_gain adj)
 
 let integrated_output_noise dcop net ~out ~fmin ~fmax =
   let psd f = fst (output_psd dcop net ~out ~freq:f) in
   sqrt (Phys.Numerics.integrate_log ~points_per_decade:16 ~f:psd fmin fmax)
 
-let integrated_input_noise dcop net ~out ~gain_at ~fmin ~fmax =
-  let psd f =
-    let total, _ = output_psd dcop net ~out ~freq:f in
-    total /. Complex.norm2 (gain_at f)
-  in
+let integrated_input_noise dcop net ~out ~fmin ~fmax =
+  let psd f = input_referred_psd dcop net ~out ~freq:f in
   sqrt (Phys.Numerics.integrate_log ~points_per_decade:16 ~f:psd fmin fmax)

@@ -1,9 +1,10 @@
-(** Circuit noise analysis.  For each noisy element (MOS channel thermal +
-    flicker, resistor thermal) a unit AC current is injected across its
-    noise branch and the transfer impedance to the output node is computed
-    on the factored AC system; output noise is the PSD-weighted sum of
-    squared transfer magnitudes.  Input-referred noise divides by the
-    squared gain magnitude supplied by the caller's testbench. *)
+(** Circuit noise analysis.  Each noisy element (MOS channel thermal +
+    flicker, resistor thermal) is a current source across its noise
+    branch; its transfer impedance to the output node comes from one
+    adjoint AC solve per frequency ({!Acs.adjoint}), shared by all
+    elements.  Output noise is the PSD-weighted sum of squared transfer
+    magnitudes.  Input-referred noise divides by the squared gain from
+    the bench's own AC sources, taken from the same adjoint solve. *)
 
 type contribution = {
   element : string;
@@ -16,9 +17,9 @@ val output_psd :
 (** Total output voltage noise PSD at [freq] and the per-element split. *)
 
 val input_referred_psd :
-  Dcop.t -> Acs.t -> out:string -> gain:Complex.t -> freq:float -> float
-(** Output PSD divided by |gain|^2 — the caller provides the gain of its
-    input of interest at the same frequency. *)
+  Dcop.t -> Acs.t -> out:string -> freq:float -> float
+(** Output PSD divided by |gain|^2, the gain being V(out) for the
+    circuit's AC sources at the same frequency. *)
 
 val integrated_output_noise :
   Dcop.t -> Acs.t -> out:string -> fmin:float -> fmax:float -> float
@@ -26,6 +27,5 @@ val integrated_output_noise :
     of the PSD. *)
 
 val integrated_input_noise :
-  Dcop.t -> Acs.t -> out:string -> gain_at:(float -> Complex.t) ->
-  fmin:float -> fmax:float -> float
+  Dcop.t -> Acs.t -> out:string -> fmin:float -> fmax:float -> float
 (** RMS input-referred noise voltage over the band. *)

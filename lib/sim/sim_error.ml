@@ -13,6 +13,11 @@ let message = function
   | Timeout { analysis; after_s } ->
     Printf.sprintf "%s: deadline exceeded after %.3f s" analysis after_s
 
+let kind = function
+  | No_convergence _ -> "no_convergence"
+  | Singular_matrix _ -> "singular_matrix"
+  | Timeout _ -> "timeout"
+
 let to_exn = function
   | No_convergence { detail; _ } -> Phys.Numerics.No_convergence detail
   | Singular_matrix { column; _ } -> Linalg.Singular column

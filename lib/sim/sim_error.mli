@@ -2,12 +2,12 @@
 
     The analyses historically report failure through two unrelated
     exceptions — [Phys.Numerics.No_convergence] from the DC Newton loop
-    (and everything built on it) and [Linalg.Singular] from the complex
-    LU factorisation — which forces every caller that wants to degrade
-    gracefully (Monte Carlo sampling, corner sweeps, the sizing
+    (and everything built on it) and [Linalg.Singular] from the AC
+    analysis' factorisations — which forces every caller that wants to
+    degrade gracefully (Monte Carlo sampling, corner sweeps, the sizing
     calibration loop) to enumerate both.  This module gives them one
-    closed type, and {!Dcop.solve_result} / {!Acs.factor_result} /
-    {!Acs.transfer_result} expose the analyses as
+    closed type, and {!Dcop.solve_result} / {!Acs.transfer_result}
+    expose the analyses as
     [('a, Sim_error.t) result]; the raising entry points remain as thin
     wrappers for existing code. *)
 
@@ -17,8 +17,9 @@ type t =
           the entry point (e.g. ["dcop"]), [detail] carries the legacy
           exception message *)
   | Singular_matrix of { analysis : string; column : int }
-      (** the (complex) MNA matrix lost rank at [column] — typically a
-          floating node or a degenerate source loop *)
+      (** the MNA matrix (G at AC, I + jwH at one frequency) lost rank
+          at [column] — typically a floating node or a degenerate source
+          loop *)
   | Timeout of { analysis : string; after_s : float }
       (** a cooperative deadline check (see {!Exec.Ctx.check_deadline})
           fired [after_s] seconds past the request deadline; raised
@@ -33,6 +34,10 @@ exception Deadline_exceeded of string * float
 
 val message : t -> string
 (** Human-readable one-liner. *)
+
+val kind : t -> string
+(** The constructor as a wire name: ["no_convergence"],
+    ["singular_matrix"] or ["timeout"]. *)
 
 val to_exn : t -> exn
 (** The legacy exception carrying the same information:

@@ -1,7 +1,7 @@
 (** The compiled MNA stamp program shared by the nonlinear analyses (DC
     Newton and transient): residual accumulation (KCL currents leaving each
-    node), Jacobian entries and the Newton update.  The AC analysis uses
-    its own complex assembly.
+    node), Jacobian entries and the Newton update.  The AC analysis
+    stamps its own G and C ({!Acs}).
 
     One production matrix sits behind the stamps: the unboxed
     flat-[floatarray] kernel matrix ({!Linalg.Dense_f}), stamped into a
@@ -10,8 +10,8 @@
     sequence of accumulations, so solver results agree bit-for-bit. *)
 
 type backend = Kernel | Reference
-(** Solver selector of the analyses.  [Kernel] is the unboxed in-place
-    workspace path every analysis uses unless told otherwise;
+(** Solver selector of the DC and transient analyses.  [Kernel] is the
+    unboxed in-place workspace path they use unless told otherwise;
     [Reference] is the original boxed functor path, reachable only by
     passing [~backend:Reference] explicitly (tests and the kernel
     micro-benchmarks use it as the oracle). *)

@@ -158,18 +158,11 @@ let slew_rate t =
   | Some s, None | None, Some s -> s
   | None, None -> Float.nan
 
-let gain_at t f = Sim.Acs.transfer t.net_dm ~freq:f ~out:"out"
-
 let input_noise_density t ~freq =
-  let psd =
-    Sim.Noise.input_referred_psd t.dc t.net_dm ~out:"out" ~gain:(gain_at t freq)
-      ~freq
-  in
-  sqrt psd
+  sqrt (Sim.Noise.input_referred_psd t.dc t.net_dm ~out:"out" ~freq)
 
 let integrated_input_noise t ~fmin ~fmax =
-  Sim.Noise.integrated_input_noise t.dc t.net_dm ~out:"out"
-    ~gain_at:(gain_at t) ~fmin ~fmax
+  Sim.Noise.integrated_input_noise t.dc t.net_dm ~out:"out" ~fmin ~fmax
 
 (* Coarse memo over the full measurement suite: the record is a pure
    function of (process, kind, spec, amp) — everything [t] was built

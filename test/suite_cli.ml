@@ -148,6 +148,17 @@ let test_sizing_hole_typed () =
   Alcotest.(check string) "error kind" "no_convergence" (field "kind");
   Alcotest.(check string) "analysis" "flow" (field "analysis")
 
+(* Text mode reports the same failure as one line and the same exit
+   status, not an uncaught exception (125). *)
+let test_sizing_hole_text () =
+  let code, _, err = run [ "synth"; "--case"; "2"; "--gbw"; "45"; "--cl"; "3" ] in
+  Alcotest.(check int) "exit 1" 1 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "one no_convergence line: %S" err)
+    true
+    (String.starts_with ~prefix:"losac: no_convergence: " err
+     && List.length (String.split_on_char '\n' (String.trim err)) = 1)
+
 let suite =
   ( "cli",
     [
@@ -158,4 +169,6 @@ let suite =
       case "job without a daemon exits 1" test_job_no_daemon;
       case "45 MHz sizing hole is a typed no_convergence"
         test_sizing_hole_typed;
+      case "45 MHz sizing hole in text mode exits 1"
+        test_sizing_hole_text;
     ] )

@@ -61,7 +61,7 @@ let test_complex_rc () =
 (* --- unboxed kernel backend ------------------------------------------- *)
 
 module Df = Linalg.Dense_f
-module Dc = Linalg.Dense_c
+module Hs = Linalg.Hessenberg
 module Ws = Linalg.Ws
 
 let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -103,61 +103,6 @@ let prop_kernel_real_bit_identical =
         | _ -> false
         | exception Linalg.Singular k' -> k = k'))
 
-let random_complex_system n seed =
-  let st = Random.State.make [| seed |] in
-  let e () = Random.State.float st 2.0 -. 1.0 in
-  let a =
-    Array.init n (fun _ ->
-      Array.init n (fun _ ->
-        let re = e () in
-        { Complex.re; im = e () }))
-  in
-  let b =
-    Array.init n (fun _ ->
-      let re = e () in
-      { Complex.re; im = e () })
-  in
-  (a, b)
-
-let kernel_cx_solve rows b =
-  let n = Array.length b in
-  let ws = Ws.cx n in
-  Array.iteri
-    (fun i row -> Array.iteri (fun j v -> Dc.set ws.Ws.y i j v) row)
-    rows;
-  (* the workspace matrix no longer holds whatever factorisation a live
-     Acs handle might expect: invalidate them *)
-  ws.Ws.serial <- ws.Ws.serial + 1;
-  Array.iteri
-    (fun i (v : Complex.t) ->
-      ws.Ws.b_re.(i) <- v.Complex.re;
-      ws.Ws.b_im.(i) <- v.Complex.im)
-    b;
-  Dc.lu_factor_in_place ws.Ws.y ~piv:ws.Ws.cpiv;
-  Dc.lu_solve_into ws.Ws.y ~piv:ws.Ws.cpiv ~b_re:ws.Ws.b_re
-    ~b_im:ws.Ws.b_im ~x_re:ws.Ws.x_re ~x_im:ws.Ws.x_im;
-  Array.init n (fun i -> { Complex.re = ws.Ws.x_re.(i); im = ws.Ws.x_im.(i) })
-
-let prop_kernel_cx_bit_identical =
-  QCheck.Test.make
-    ~name:"unboxed complex kernel bit-identical to functor backend"
-    ~count:200
-    QCheck.(pair (int_range 1 16) (int_range 0 100000))
-    (fun (n, seed) ->
-      let rows, b = random_complex_system n seed in
-      let eq (u : Complex.t) (v : Complex.t) =
-        bits_eq u.Complex.re v.Complex.re && bits_eq u.Complex.im v.Complex.im
-      in
-      match C.solve (C.of_arrays rows) b with
-      | x -> (
-        match kernel_cx_solve rows b with
-        | y -> Array.for_all2 eq x y
-        | exception Linalg.Singular _ -> false)
-      | exception Linalg.Singular k -> (
-        match kernel_cx_solve rows b with
-        | _ -> false
-        | exception Linalg.Singular k' -> k = k'))
-
 let test_kernel_singular_identical () =
   let rows = [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
   let k_ref =
@@ -178,10 +123,10 @@ let test_matvec_into () =
   check_close "y1" 39.0 y.(1)
 
 (* Re-solving through a reused workspace must leave the minor heap alone:
-   the factor/solve path of both kernels is allocation-free once the
-   buffers exist.  The small slack absorbs the boxed floats of the
-   [Gc.minor_words] bookkeeping itself — a backend that boxed matrix
-   elements would allocate thousands of words per solve. *)
+   the real factor/solve path is allocation-free once the buffers exist.
+   The small slack absorbs the boxed floats of the [Gc.minor_words]
+   bookkeeping itself — a kernel that boxed matrix elements would
+   allocate thousands of words per solve. *)
 let test_workspace_zero_alloc () =
   Obs.Config.with_enabled false @@ fun () ->
   let n = 16 in
@@ -195,44 +140,90 @@ let test_workspace_zero_alloc () =
   let b = Array.init n (fun i -> float_of_int (i + 1)) in
   let template = Df.of_arrays rows in
   let ws = Ws.real n in
-  let cws = Ws.cx n in
-  let ctemplate = Dc.create n in
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun j v ->
-          Dc.set ctemplate i j
-            { Complex.re = v; im = if i = j then 0.0 else 0.1 })
-        row)
-    rows;
-  cws.Ws.serial <- cws.Ws.serial + 1;
   let real_solve () =
     Df.blit ~src:template ~dst:ws.Ws.jac;
     Array.blit b 0 ws.Ws.rhs 0 n;
     Df.lu_factor_in_place ws.Ws.jac ~piv:ws.Ws.piv;
     Df.lu_solve_into ws.Ws.jac ~piv:ws.Ws.piv ~b:ws.Ws.rhs ~x:ws.Ws.delta
   in
-  let cx_solve () =
-    Dc.blit ~src:ctemplate ~dst:cws.Ws.y;
-    Array.blit b 0 cws.Ws.b_re 0 n;
-    Array.fill cws.Ws.b_im 0 n 0.0;
-    Dc.lu_factor_in_place cws.Ws.y ~piv:cws.Ws.cpiv;
-    Dc.lu_solve_into cws.Ws.y ~piv:cws.Ws.cpiv ~b_re:cws.Ws.b_re
-      ~b_im:cws.Ws.b_im ~x_re:cws.Ws.x_re ~x_im:cws.Ws.x_im
-  in
   real_solve ();
-  cx_solve ();
   (* warmed up; now measure *)
   let before = Gc.minor_words () in
-  for _ = 1 to 100 do
-    real_solve ();
-    cx_solve ()
+  for _ = 1 to 200 do
+    real_solve ()
   done;
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool)
     (Printf.sprintf "solve path allocated %.0f minor words in 200 solves"
        words)
     true (words <= 64.0)
+
+(* The transposed solve from the same factors matches the functor's
+   solve of the explicit transpose. *)
+let prop_lu_solve_transposed =
+  QCheck.Test.make ~name:"transposed LU solve matches the transpose"
+    ~count:100
+    QCheck.(pair (int_range 1 20) (int_range 0 100000))
+    (fun (n, seed) ->
+      let rows, b = random_general_system n seed in
+      match R.solve (R.transpose (R.of_arrays rows)) b with
+      | exception Linalg.Singular _ -> QCheck.assume_fail ()
+      | expect ->
+        let m = Df.of_arrays rows and piv = Array.make n 0 in
+        Df.lu_factor_in_place m ~piv;
+        let x = Array.make n 0.0 in
+        Df.lu_solve_t_into m ~piv ~b ~x;
+        let scale = Array.fold_left (fun a v -> Float.max a (Float.abs v)) 1.0 expect in
+        Array.for_all2 (fun u v -> Float.abs (u -. v) <= 1e-9 *. scale) x expect)
+
+(* (I + jwA)⁻ᵀ c through the reduction, Q (I + jwH)⁻ᵀ Qᵀ c, against a
+   complex LU of (I + jwA)ᵀ.  A spans four decades per entry and w
+   eight, so the shifted matrix ranges from near-identity to dominated
+   by A.  Some rows and columns of A are zeroed, as voltage sources zero
+   them in a circuit's G⁻¹C, so that the isolation step permutes them
+   out of the reduced block. *)
+let prop_hessenberg_solve =
+  QCheck.Test.make ~name:"Hessenberg shifted solve matches complex LU"
+    ~count:300
+    QCheck.(triple (int_range 1 24) (int_range 0 100000) (float_range (-4.0) 4.0))
+    (fun (n, seed, lw) ->
+      let st = Random.State.make [| seed |] in
+      let a =
+        Array.init n (fun _ ->
+          Array.init n (fun _ ->
+            (Random.State.float st 2.0 -. 1.0)
+            *. (10.0 ** Random.State.float st 4.0)))
+      in
+      for _ = 1 to Random.State.int st (1 + (n / 3)) do
+        let k = Random.State.int st n in
+        if Random.State.bool st then Array.fill a.(k) 0 n 0.0
+        else Array.iter (fun row -> row.(k) <- 0.0) a
+      done;
+      let c = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
+      let w = 10.0 ** lw in
+      let shifted_t =
+        C.of_arrays
+          (Array.init n (fun i ->
+             Array.init n (fun j ->
+               { Complex.re = (if i = j then 1.0 else 0.0); im = w *. a.(j).(i) })))
+      in
+      match C.solve shifted_t (Array.map (fun re -> { Complex.re; im = 0.0 }) c) with
+      | exception Linalg.Singular _ -> QCheck.assume_fail ()
+      | expect ->
+        let hs = Hs.reduce a in
+        let re = Array.make n 0.0 and im = Array.make n 0.0 in
+        Hs.solve_t hs ~w (Hs.project hs c) ~re ~im;
+        let x_re = Array.make n 0.0 and x_im = Array.make n 0.0 in
+        Hs.lift hs ~re ~im ~x_re ~x_im;
+        let scale =
+          Array.fold_left (fun m v -> Float.max m (Complex.norm v)) 1e-300 expect
+        in
+        Array.for_all2
+          (fun (e : Complex.t) (xr, xi) ->
+            Complex.norm (Complex.sub e { Complex.re = xr; im = xi }) <= 1e-9 *. scale)
+          expect
+          (Array.map2 (fun xr xi -> (xr, xi)) x_re x_im)
+        || QCheck.Test.fail_reportf "n %d seed %d w %g" n seed w)
 
 let random_spd_system n seed =
   (* diagonally dominant random system: always solvable *)
@@ -287,5 +278,6 @@ let suite =
           prop_lu_residual;
           prop_matvec_linear;
           prop_kernel_real_bit_identical;
-          prop_kernel_cx_bit_identical;
+          prop_lu_solve_transposed;
+          prop_hessenberg_solve;
         ] )

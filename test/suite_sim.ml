@@ -182,8 +182,7 @@ let test_mos_noise_input_referred () =
   let op = solve c in
   let net = Sim.Acs.prepare op in
   let freq = 10e6 in
-  let gain = Sim.Acs.transfer net ~freq ~out:"d" in
-  let svin = Sim.Noise.input_referred_psd op net ~out:"d" ~gain ~freq in
+  let svin = Sim.Noise.input_referred_psd op net ~out:"d" ~freq in
   (* input-referred thermal of the device alone: 8kT/(3gm) *)
   let dop = Sim.Dcop.device_op op "1" in
   let gm = dop.Device.Op.eval.M.gm in
@@ -388,10 +387,20 @@ let test_backend_dc_bit_identical () =
         (bits_eq (Sim.Dcop.voltage k name) (Sim.Dcop.voltage r name)))
     (Sim.Indexing.node_names (Sim.Dcop.indexing k))
 
-let test_backend_ac_bit_identical () =
+(* --- AC reduction vs the LU oracle -----------------------------------
+   [Sim.Acs] solves each frequency on one Hessenberg reduction of the
+   bench; [Ac_oracle] factors Y(jw) per point.  They must agree within
+   1e-9 relative. *)
+
+let crel (a : Complex.t) (b : Complex.t) =
+  Complex.norm (Complex.sub a b) /. Float.max 1e-300 (Complex.norm b)
+
+let rel a b = Float.abs (a -. b) /. Float.max 1e-300 (Float.abs b)
+
+let test_ac_matches_oracle () =
   let dev = Device.Mos.make ~name:"1" ~mtype:E.Nmos ~w:50e-6 ~l:1e-6 () in
   let c =
-    Ckt.create ~title:"ac identity"
+    Ckt.create ~title:"ac oracle"
     |> fun c -> Ckt.add_vsource c ~name:"dd" ~p:"vdd" ~n:"0" (El.dc_source 3.3)
     |> fun c -> Ckt.add_vsource c ~name:"in" ~p:"g" ~n:"0" (El.ac_source ~dc:1.0 1.0)
     |> fun c -> Ckt.add_resistor c ~name:"l" ~p:"vdd" ~n:"d" ~r:50e3
@@ -399,49 +408,121 @@ let test_backend_ac_bit_identical () =
     |> fun c -> Ckt.add_mos c ~dev ~d:"d" ~g:"g" ~s:"0" ~b:"0"
   in
   let op = solve c in
-  let net = Sim.Acs.prepare op in
+  let net = Sim.Acs.prepare op and oracle = Ac_oracle.prepare op in
   List.iter
     (fun freq ->
-      let hk = Sim.Acs.transfer ~backend:Sim.Stamps.Kernel net ~freq ~out:"d" in
-      let hr =
-        Sim.Acs.transfer ~backend:Sim.Stamps.Reference net ~freq ~out:"d"
+      let within what a b =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s at %.0e Hz: rel %.2e" what freq (rel a b))
+          true (rel a b < 1e-9)
       in
+      let h = Sim.Acs.transfer net ~freq ~out:"d" in
+      let ho = Ac_oracle.transfer oracle ~freq ~out:"d" in
       Alcotest.(check bool)
-        (Printf.sprintf "H(%.0e) bit-identical" freq)
-        true
-        (bits_eq hk.Complex.re hr.Complex.re
-         && bits_eq hk.Complex.im hr.Complex.im))
-    [ 1.0; 1e3; 1e6; 1e9 ];
-  (* noise inner loop: the in-workspace |V(out)|^2 equals the reference
-     backend's, and the phasor-vector formulation of the same quantity *)
-  let fk = Sim.Acs.factor ~backend:Sim.Stamps.Kernel net ~freq:1e6 in
-  let fr = Sim.Acs.factor ~backend:Sim.Stamps.Reference net ~freq:1e6 in
-  let gk = Sim.Acs.injection_gain2 fk ~p:"d" ~n:"0" ~out:"d" in
-  let gr = Sim.Acs.injection_gain2 fr ~p:"d" ~n:"0" ~out:"d" in
-  Alcotest.(check bool) "injection gain bit-identical" true (bits_eq gk gr);
-  let via_vector =
-    Complex.norm2 (Sim.Acs.voltage net (Sim.Acs.solve_injection fk ~p:"d" ~n:"0") "d")
-  in
-  Alcotest.(check bool) "gain2 equals norm2 of phasor" true
-    (bits_eq gk via_vector)
+        (Printf.sprintf "transfer at %.0e Hz: rel %.2e" freq (crel h ho))
+        true (crel h ho < 1e-9);
+      within "output impedance"
+        (Complex.norm (Sim.Acs.output_impedance net ~freq ~out:"d"))
+        (Complex.norm (Ac_oracle.output_impedance oracle ~freq ~out:"d"));
+      within "output noise PSD"
+        (fst (Sim.Noise.output_psd op net ~out:"d" ~freq))
+        (Ac_oracle.output_psd op oracle ~out:"d" ~freq);
+      within "input-referred noise PSD"
+        (Sim.Noise.input_referred_psd op net ~out:"d" ~freq)
+        (Ac_oracle.input_referred_psd op oracle ~out:"d" ~freq))
+    [ 1.0; 1e3; 1e6; 1e9; 1e11 ]
 
-let test_backend_ac_interleaved_factors () =
-  (* two live kernel factorisations share the domain's workspace: each
-     solve transparently re-factors when the other clobbered it, and the
-     results stay bit-identical to the reference backend *)
-  let r = 1e3 and cap = 1e-9 in
-  let op = solve (rc_lowpass r cap) in
+(* A capacitive divider leaves its middle node without a DC path: only
+   the 1e-15 S AC gmin ties it to ground, so G is as ill-conditioned as
+   the analysis allows.  The reduction must agree with the oracle within
+   1e-6 or fail typed. *)
+let test_ac_gmin_floating_node () =
+  let c =
+    Ckt.create ~title:"capacitive divider"
+    |> fun c -> Ckt.add_vsource c ~name:"in" ~p:"in" ~n:"0" (El.ac_source ~dc:1.0 1.0)
+    |> fun c -> Ckt.add_resistor c ~name:"s" ~p:"in" ~n:"a" ~r:1e3
+    |> fun c -> Ckt.add_capacitor c ~name:"a" ~p:"a" ~n:"0" ~c:1e-12
+    |> fun c -> Ckt.add_capacitor c ~name:"1" ~p:"a" ~n:"f" ~c:1e-12
+    |> fun c -> Ckt.add_capacitor c ~name:"2" ~p:"f" ~n:"0" ~c:3e-12
+  in
+  let op = solve c in
+  let net = Sim.Acs.prepare op and oracle = Ac_oracle.prepare op in
+  List.iter
+    (fun freq ->
+      List.iter
+        (fun out ->
+          match Sim.Acs.transfer_result net ~freq ~out with
+          | Error (Sim.Sim_error.Singular_matrix _) -> ()
+          | Error e -> Alcotest.failf "wrong error: %s" (Sim.Sim_error.message e)
+          | Ok h ->
+            let ho = Ac_oracle.transfer oracle ~freq ~out in
+            Alcotest.(check bool)
+              (Printf.sprintf "V(%s) at %g Hz: rel %.2e" out freq (crel h ho))
+              true (crel h ho < 1e-6))
+        [ "a"; "f" ])
+    [ 1e-3; 1.0; 1e3; 1e6; 1e8; 1e9; 1e11 ]
+
+(* A resistor of -1e15 ohm cancels the AC gmin of a node with no other
+   conductance, so G is exactly singular (the DC solve still converges:
+   its gmin is 1e-12 S).  Every AC call reports it as a typed error. *)
+let test_ac_singular_g () =
+  let c =
+    Ckt.create ~title:"singular G"
+    |> fun c -> Ckt.add_vsource c ~name:"in" ~p:"in" ~n:"0" (El.ac_source ~dc:1.0 1.0)
+    |> fun c -> Ckt.add_capacitor c ~name:"1" ~p:"in" ~n:"f" ~c:1e-12
+    |> fun c -> Ckt.add_resistor c ~name:"n" ~p:"f" ~n:"0" ~r:(-1e15)
+  in
+  let net = Sim.Acs.prepare (solve c) in
+  (match Sim.Acs.transfer_result net ~freq:1e6 ~out:"f" with
+   | Error (Sim.Sim_error.Singular_matrix { analysis; _ }) ->
+     Alcotest.(check string) "analysis" "acs" analysis
+   | Error e -> Alcotest.failf "wrong error: %s" (Sim.Sim_error.message e)
+   | Ok _ -> Alcotest.fail "singular G gave a value");
+  match Sim.Measure.unity_gain_freq net ~out:"f" with
+  | exception Linalg.Singular _ -> ()
+  | _ -> Alcotest.fail "Measure on a singular G did not raise Linalg.Singular"
+
+(* The prepared bench is immutable: measured from the worker domains of a
+   2-domain pool it gives the calling domain's results bit for bit. *)
+let test_ac_shared_across_domains () =
+  let spec = Comdiac.Spec.paper_ota in
+  let d =
+    Comdiac.Folded_cascode.size ~proc:P.c06 ~kind:M.Bsim_lite ~spec
+      ~parasitics:Comdiac.Parasitics.single_fold
+  in
+  let tb =
+    Comdiac.Testbench.make ~proc:P.c06 ~kind:M.Bsim_lite ~spec
+      d.Comdiac.Folded_cascode.amp
+  in
+  let op = Comdiac.Testbench.operating_point tb in
   let net = Sim.Acs.prepare op in
-  let f1 = Sim.Acs.factor ~backend:Sim.Stamps.Kernel net ~freq:1e4 in
-  let f2 = Sim.Acs.factor ~backend:Sim.Stamps.Kernel net ~freq:1e7 in
-  let h1 = Sim.Acs.voltage net (Sim.Acs.solve_sources f1) "out" in
-  let h2 = Sim.Acs.voltage net (Sim.Acs.solve_sources f2) "out" in
-  let h1r = Sim.Acs.transfer ~backend:Sim.Stamps.Reference net ~freq:1e4 ~out:"out" in
-  let h2r = Sim.Acs.transfer ~backend:Sim.Stamps.Reference net ~freq:1e7 ~out:"out" in
-  Alcotest.(check bool) "stale handle refactors identically" true
-    (bits_eq h1.Complex.re h1r.Complex.re && bits_eq h1.Complex.im h1r.Complex.im);
-  Alcotest.(check bool) "second handle intact" true
-    (bits_eq h2.Complex.re h2r.Complex.re && bits_eq h2.Complex.im h2r.Complex.im)
+  let measure () =
+    let fu = Option.get (Sim.Measure.unity_gain_freq net ~out:"out") in
+    let h = Sim.Acs.transfer net ~freq:1e6 ~out:"out" in
+    [ fu; Sim.Measure.phase_margin_at net ~out:"out" fu; h.Complex.re; h.Complex.im;
+      Sim.Measure.dc_gain net ~out:"out";
+      Sim.Measure.output_resistance net ~out:"out";
+      Sim.Noise.input_referred_psd op net ~out:"out" ~freq:1.0;
+      Sim.Noise.input_referred_psd op net ~out:"out" ~freq:1e7 ]
+  in
+  let expect = measure () in
+  let caller = (Domain.self () :> int) in
+  Par.Pool.set_stall_hook (Some (fun _ -> Unix.sleepf 0.002));
+  let got =
+    Fun.protect ~finally:(fun () -> Par.Pool.set_stall_hook None) (fun () ->
+      Par.Pool.map ~jobs:2 ~chunk:1
+        (fun _ -> ((Domain.self () :> int), measure ()))
+        (List.init 8 Fun.id))
+  in
+  Alcotest.(check bool) "a worker domain measured the bench" true
+    (List.exists (fun (dom, _) -> dom <> caller) got);
+  List.iter
+    (fun (dom, vs) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d bit-identical to the caller" dom)
+        true
+        (List.for_all2 bits_eq vs expect))
+    got
 
 let test_backend_tran_bit_identical () =
   let r = 1e3 and cap = 1e-9 in
@@ -489,28 +570,30 @@ let prop_kernel_dc_bit_identical =
              (Sim.Indexing.node_names (Sim.Dcop.indexing k))
       | _ -> false)
 
-let ac_freqs = [ 1.0; 1e4; 1e7; 1e9 ]
+let ac_freqs = [ 1.0; 1e2; 1e4; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11 ]
 
-let prop_kernel_ac_bit_identical =
-  QCheck.Test.make ~count:40
-    ~name:"kernel AC bit-identical to reference on random netlists"
+let prop_ac_matches_oracle =
+  QCheck.Test.make ~count:60
+    ~name:"AC reduction matches the LU oracle on random netlists"
+    (* normwise: the error relative to the largest node response *)
     QCheck.(pair (int_range 2 25) (int_range 0 100000))
     (fun (nodes, seed) ->
       let c, out = Gen_netlist.make ~nodes ~seed in
       match try_dc Sim.Stamps.Kernel c with
       | None -> true
       | Some op ->
-        let net = Sim.Acs.prepare op in
+        let net = Sim.Acs.prepare op and oracle = Ac_oracle.prepare op in
         List.for_all
           (fun freq ->
-            let hk =
-              Sim.Acs.transfer ~backend:Sim.Stamps.Kernel net ~freq ~out
+            let h = Sim.Acs.transfer net ~freq ~out in
+            let ho = Ac_oracle.transfer oracle ~freq ~out in
+            let err =
+              Complex.norm (Complex.sub h ho)
+              /. Float.max 1e-300 (Ac_oracle.node_scale oracle ~freq)
             in
-            let hr =
-              Sim.Acs.transfer ~backend:Sim.Stamps.Reference net ~freq ~out
-            in
-            bits_eq hk.Complex.re hr.Complex.re
-            && bits_eq hk.Complex.im hr.Complex.im)
+            err < 1e-9
+            || QCheck.Test.fail_reportf "%d nodes, seed %d, %g Hz: rel %.3e"
+                 nodes seed freq err)
           ac_freqs)
 
 let try_tran backend c =
@@ -540,8 +623,12 @@ let edge_cases =
     case "cascaded RC matches analytic" test_two_stage_rc_transfer;
     case "cold-start DC convergence" test_dc_without_guess_converges;
     case "DC backends bit-identical" test_backend_dc_bit_identical;
-    case "AC backends bit-identical" test_backend_ac_bit_identical;
-    case "interleaved AC factorisations" test_backend_ac_interleaved_factors;
+    case "AC reduction matches LU oracle" test_ac_matches_oracle;
+    case "AC gmin-held floating node agrees or fails typed"
+      test_ac_gmin_floating_node;
+    case "AC on a singular G is a typed error" test_ac_singular_g;
+    case "prepared AC bench shared across pool domains"
+      test_ac_shared_across_domains;
     case "transient backends bit-identical" test_backend_tran_bit_identical;
   ]
 
@@ -570,6 +657,6 @@ let suite =
         [
           prop_divider_matches_analytic;
           prop_kernel_dc_bit_identical;
-          prop_kernel_ac_bit_identical;
+          prop_ac_matches_oracle;
           prop_kernel_tran_bit_identical;
         ] )

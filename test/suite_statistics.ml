@@ -216,6 +216,57 @@ let prop_bracket_matches_oracle =
       in
       List.for_all case_ok Core.Flow.all_cases)
 
+(* The Table-1 benches (synthesized and extracted design of every case,
+   and three Monte Carlo samples of each) measured on the Hessenberg
+   reduction agree with the per-point complex LU oracle within 1e-9
+   relative: DC gain, GBW, phase margin and the input-referred noise
+   density at 1 Hz (flicker) and 10 MHz (white). *)
+let test_table1_matches_oracle () =
+  let rel a b = Float.abs (a -. b) /. Float.abs b in
+  let bench name amp =
+    let tb = Comdiac.Testbench.make ~proc ~kind ~spec amp in
+    let op = Comdiac.Testbench.operating_point tb in
+    let oracle = Ac_oracle.prepare op in
+    let within what got expect =
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s: rel %.2e" name what (rel got expect))
+        true
+        (rel got expect < 1e-9)
+    in
+    within "DC gain" (Comdiac.Testbench.dc_gain tb)
+      (Complex.norm (Ac_oracle.transfer oracle ~freq:1.0 ~out:"out"));
+    match (Comdiac.Testbench.gbw tb, Ac_oracle.unity_gain_freq oracle ~out:"out") with
+    | Some fu, Some fo ->
+      within "GBW" fu fo;
+      within "phase margin"
+        (Comdiac.Testbench.phase_margin_at tb fu)
+        (Ac_oracle.phase_margin_at oracle ~out:"out" fo);
+      List.iter
+        (fun freq ->
+          within
+            (Printf.sprintf "noise PSD at %g Hz" freq)
+            (Comdiac.Testbench.input_noise_density tb ~freq ** 2.0)
+            (Ac_oracle.input_referred_psd op oracle ~out:"out" ~freq))
+        [ 1.0; 10e6 ]
+    | _ -> Alcotest.failf "%s: no unity-gain crossing" name
+  in
+  List.iter
+    (fun case ->
+      let r = Core.Flow.run ~proc ~kind ~spec case in
+      let design = r.Core.Flow.design in
+      List.iter
+        (fun (which, amp) ->
+          List.iteri
+            (fun i amp ->
+              bench
+                (Printf.sprintf "%s %s %s" (Core.Flow.case_label case) which
+                   (if i = 0 then "nominal" else Printf.sprintf "sample %d" i))
+                amp)
+            (amp :: List.init 3 (fun i -> MC.sample_amp ~proc ~seed:1 i amp)))
+        [ ("synthesized", design.Comdiac.Folded_cascode.amp);
+          ("extracted", Core.Flow.extracted_amp proc design r.Core.Flow.report) ])
+    Core.Flow.all_cases
+
 let suite =
   ( "statistics",
     [
@@ -230,5 +281,7 @@ let suite =
       case "corner current ordering" test_corner_currents;
       case "robustness: frozen bias" test_robustness_frozen_bias;
       case "robustness: tracking bias" test_robustness_with_tracking_bias;
+      case "Table-1 benches: reduction matches the LU oracle"
+        test_table1_matches_oracle;
     ]
     @ qcheck_cases [ prop_bracket_matches_oracle ] )
