@@ -40,7 +40,7 @@ let device_bias dev ~vd ~vg ~vs ~vb =
    capacitors as companions). *)
 type pelem =
   | P_resistor of { pi : int; ni : int; g : float }
-  | P_capacitor of { pi : int; ni : int; c : float }
+  | P_capacitor of { slot : int; c : float }
   | P_isource of { pi : int; ni : int; src : El.source }
   | P_vsource of { row : int; pi : int; ni : int; src : El.source }
   | P_mos of {
@@ -51,79 +51,107 @@ type pelem =
       gi : int;
       si : int;
       bi : int;
+      slot : int;
     }
 
-type prog = { proc : Technology.Process.t; elems : pelem array; nodes : int }
+(* Every capacitance of the circuit has a slot: a capacitor one, a MOS five
+   (gs, gd, gb, db, sb, from [slot]).  [cap_p.(s)] and [cap_n.(s)] are the
+   terminals of slot [s]. *)
+type prog = {
+  proc : Technology.Process.t;
+  elems : pelem array;
+  nodes : int;
+  cap_p : int array;
+  cap_n : int array;
+}
 
 let compile proc idx circuit =
   let ridx name =
     match Indexing.node_index idx name with None -> -1 | Some i -> i
   in
+  let caps = ref [] and slots = ref 0 in
+  let take pairs =
+    let slot = !slots in
+    List.iter (fun pn -> caps := pn :: !caps) pairs;
+    slots := slot + List.length pairs;
+    slot
+  in
   let elem = function
     | El.Resistor { p; n; r; _ } ->
       P_resistor { pi = ridx p; ni = ridx n; g = 1.0 /. r }
-    | El.Capacitor { p; n; c; _ } -> P_capacitor { pi = ridx p; ni = ridx n; c }
+    | El.Capacitor { p; n; c; _ } ->
+      P_capacitor { slot = take [ (ridx p, ridx n) ]; c }
     | El.Isource { p; n; i; _ } -> P_isource { pi = ridx p; ni = ridx n; src = i }
     | El.Vsource { name; p; n; v; _ } ->
       P_vsource
         { row = Indexing.vsource_index idx name; pi = ridx p; ni = ridx n; src = v }
     | El.Mos { dev; d; g; s; b } ->
+      let di = ridx d and gi = ridx g and si = ridx s and bi = ridx b in
       P_mos
         { dev;
           card = Device.Mos.params proc dev;
           sgn = Technology.Electrical.mos_type_sign dev.Device.Mos.mtype;
-          di = ridx d;
-          gi = ridx g;
-          si = ridx s;
-          bi = ridx b }
+          di; gi; si; bi;
+          slot = take [ (gi, si); (gi, di); (gi, bi); (di, bi); (si, bi) ] }
   in
+  let elems = Array.of_list (List.map elem (Netlist.Circuit.elements circuit)) in
+  let caps = Array.of_list (List.rev !caps) in
   { proc;
-    elems = Array.of_list (List.map elem (Netlist.Circuit.elements circuit));
-    nodes = Indexing.node_count idx }
+    elems;
+    nodes = Indexing.node_count idx;
+    cap_p = Array.map fst caps;
+    cap_n = Array.map snd caps }
 
-(* A backward-Euler companion i = g (vp - vn) + ieq, with g = c/dt and
-   ieq = -g (vp - vn) at the previous time point. *)
-type companion = { cp : int; cn : int; g : float; ieq : float }
-
+(* Slot [s] is the companion i = g.(s) (vp - vn) + ieq.(s); a slot whose
+   capacitance is not positive has g = 0 and is not stamped. *)
 type drive =
   | Dc of float
-  | Tran of { time : float; comps : companion array array }
-      (* [comps.(k)]: the companions of program element [k] *)
+  | Tran of { time : float; g : float array; ieq : float array }
 
 let dc alpha = Dc alpha
 
-let transient kind prog ~time ~dt ~prev =
-  let v i = if i < 0 then 0.0 else prev.(i) in
-  let comp pi ni c =
-    let g = c /. dt in
-    { cp = pi; cn = ni; g; ieq = -.g *. (v pi -. v ni) }
+let transient kind prog ~time ~coeffs ~hist ~caps_at =
+  let n_slots = Array.length prog.cap_p in
+  let g = Array.make n_slots 0.0 and ieq = Array.make n_slots 0.0 in
+  let branch x s =
+    let v i = if i < 0 then 0.0 else x.(i) in
+    v prog.cap_p.(s) -. v prog.cap_n.(s)
   in
-  let elem = function
-    | P_capacitor { pi; ni; c } -> [| comp pi ni c |]
-    | P_mos { dev; card; sgn; di; gi; si; bi } ->
-      (* Device capacitances linearised at the previous time point: exact
-         evaluation, since every step's bias is new to a memo. *)
-      let bias =
-        { Mdl.vgs = sgn *. (v gi -. v si);
-          vds = sgn *. (v di -. v si);
-          vbs = sgn *. (v bi -. v si) }
-      in
-      let e =
-        Mdl.evaluate_exact kind card ~w:dev.Device.Mos.w ~l:dev.Device.Mos.l
-          bias
-      in
-      let cc = Device.Op.caps_at prog.proc dev bias e in
-      List.filter_map
-        (fun (p, n, c) -> if c > 0.0 then Some (comp p n c) else None)
-        [ (gi, si, cc.Device.Caps.cgs);
-          (gi, di, cc.Device.Caps.cgd);
-          (gi, bi, cc.Device.Caps.cgb);
-          (di, bi, cc.Device.Caps.cdb);
-          (si, bi, cc.Device.Caps.csb) ]
-      |> Array.of_list
-    | P_resistor _ | P_isource _ | P_vsource _ -> [||]
+  let set s c =
+    if c > 0.0 then begin
+      g.(s) <- c *. coeffs.(0);
+      let q = ref 0.0 in
+      for j = 1 to Array.length coeffs - 1 do
+        q := !q +. (coeffs.(j) *. branch hist.(j - 1) s)
+      done;
+      ieq.(s) <- c *. !q
+    end
   in
-  Tran { time; comps = Array.map elem prog.elems }
+  Array.iter
+    (function
+      | P_capacitor { slot; c } -> set slot c
+      | P_mos { dev; card; sgn; di; gi; si; bi; slot } ->
+        (* Device capacitances linearised at [caps_at]: exact evaluation,
+           since every step's bias is new to a memo. *)
+        let v i = if i < 0 then 0.0 else caps_at.(i) in
+        let bias =
+          { Mdl.vgs = sgn *. (v gi -. v si);
+            vds = sgn *. (v di -. v si);
+            vbs = sgn *. (v bi -. v si) }
+        in
+        let e =
+          Mdl.evaluate_exact kind card ~w:dev.Device.Mos.w ~l:dev.Device.Mos.l
+            bias
+        in
+        let cc = Device.Op.caps_at prog.proc dev bias e in
+        set slot cc.Device.Caps.cgs;
+        set (slot + 1) cc.Device.Caps.cgd;
+        set (slot + 2) cc.Device.Caps.cgb;
+        set (slot + 3) cc.Device.Caps.cdb;
+        set (slot + 4) cc.Device.Caps.csb
+      | P_resistor _ | P_isource _ | P_vsource _ -> ())
+    prog.elems;
+  Tran { time; g; ieq }
 
 let xat ctx i = if i < 0 then 0.0 else Array.unsafe_get ctx.x i
 
@@ -153,17 +181,20 @@ let stamp kind prog ctx ~gmin drive =
     | Tran { time; _ } ->
       (match s.El.wave with Some w -> w time | None -> s.El.dc)
   in
-  let companions k =
+  let companions slot count =
     match drive with
     | Dc _ -> ()
-    | Tran { comps; _ } ->
-      Array.iter (fun c -> conduct ctx c.cp c.cn c.g c.ieq) comps.(k)
+    | Tran { g; ieq; _ } ->
+      for s = slot to slot + count - 1 do
+        if g.(s) <> 0.0 then
+          conduct ctx prog.cap_p.(s) prog.cap_n.(s) g.(s) ieq.(s)
+      done
   in
-  Array.iteri
-    (fun k pe ->
+  Array.iter
+    (fun pe ->
       match pe with
       | P_resistor { pi; ni; g } -> conduct ctx pi ni g 0.0
-      | P_capacitor _ -> companions k
+      | P_capacitor { slot; _ } -> companions slot 1
       | P_isource { pi; ni; src } ->
         let v = value src in
         fadd ctx pi v;
@@ -176,7 +207,7 @@ let stamp kind prog ctx ~gmin drive =
         ctx.f.(row) <- xat ctx pi -. xat ctx ni -. value src;
         if pi >= 0 then madd ctx row pi 1.0;
         if ni >= 0 then madd ctx row ni (-1.0)
-      | P_mos { dev; card; sgn; di; gi; si; bi } ->
+      | P_mos { dev; card; sgn; di; gi; si; bi; slot } ->
         let vd = xat ctx di
         and vg = xat ctx gi
         and vs = xat ctx si
@@ -209,7 +240,7 @@ let stamp kind prog ctx ~gmin drive =
         jadd ctx si di (-.gds);
         jadd ctx si bi (-.gmb);
         jadd ctx si si (-.gs);
-        companions k)
+        companions slot 5)
     prog.elems;
   for i = 0 to prog.nodes - 1 do
     ctx.f.(i) <- ctx.f.(i) +. gmin *. ctx.x.(i);

@@ -41,14 +41,18 @@ val dc : float -> drive
     capacitors open. *)
 
 val transient :
-  Device.Model.kind -> prog -> time:float -> dt:float -> prev:float array ->
-  drive
-(** One backward-Euler step ending at [time]: sources at their [wave time]
-    (DC value without a waveform), and every capacitance replaced by its
-    companion [i = (c/dt) (v - v_prev)].  MOS capacitances are evaluated
-    here, once per step, at the bias of the previous solution [prev] with
-    the exact (unmemoized) model; the drive then serves every Newton
-    iterate of the step. *)
+  Device.Model.kind -> prog -> time:float -> coeffs:float array ->
+  hist:float array array -> caps_at:float array -> drive
+(** One implicit step ending at [time]: sources at their [wave time] (DC
+    value without a waveform), and every capacitance [c] replaced by its
+    companion [i = c (coeffs.(0) v + coeffs.(1) v_1 + coeffs.(2) v_2 ...)],
+    where [v] is the branch voltage at [time] and [v_j] its value in
+    [hist.(j-1)], the solution [j] time points back.  The coefficients are
+    the integration method's derivative formula: [[|1/h; -1/h|]] is
+    backward Euler, three of them variable-step BDF2.  MOS capacitances are
+    evaluated here, once per step, at the bias of [caps_at] (the step's
+    predicted solution, or the previous one) with the exact (unmemoized)
+    model; the drive then serves every Newton iterate of the step. *)
 
 type border
 (** The bordering of a system by one extra unknown [u], the last entry of

@@ -109,8 +109,10 @@ let power t =
    step within the output range drives inp.  Each edge is its own short
    transient from the DC operating point at its start level (v1 for the
    falling edge, v0 for the rising one), with the step at the first time
-   point.  It stops a quarter slew time after the output passes its 90%
-   level, or after five slew times.  The 10-90% edge timing, with both
+   point.  Its steps are error-controlled with a maximum of t_slew / 20,
+   so the 10-90% edge spans at least 16 time points.  It stops a quarter
+   slew time after the output passes its 90% level, or after five slew
+   times.  The 10-90% edge timing, with both
    crossings interpolated between time points, rejects the capacitive
    feedthrough spike that a raw max-slope measurement would report. *)
 let slew_rate t =
@@ -141,7 +143,7 @@ let slew_rate t =
     in
     let res =
       Sim.Tran.run ~proc:t.proc ~kind:t.kind ~tstop:(5.0 *. t_slew)
-        ~dt:(t_slew /. 200.0) ~guess:(Amp.guess_fn amp ~extra) ~stop c
+        ~dt:(t_slew /. 20.0) ~guess:(Amp.guess_fn amp ~extra) ~stop c
     in
     let crossing ?after level =
       Sim.Tran.crossing ?after res "out" ~level ~falling

@@ -633,6 +633,162 @@ let edge_cases =
   ]
 
 
+(* --- transient step control --------------------------------------------- *)
+
+let rc_circuit ?(title = "rc") ~r ~cap wave =
+  Ckt.create ~title
+  |> fun c -> Ckt.add_vsource c ~name:"in" ~p:"in" ~n:"0" (El.wave_source wave)
+  |> fun c -> Ckt.add_resistor c ~name:"1" ~p:"in" ~n:"out" ~r
+  |> fun c -> Ckt.add_capacitor c ~name:"1" ~p:"out" ~n:"0" ~c:cap
+
+let test_tran_bad_inputs () =
+  let c = rc_circuit ~r:1e3 ~cap:1e-9 (fun t -> if t <= 0.0 then 0.0 else 1.0) in
+  let rejects what ?dt tstop =
+    match Sim.Tran.run ~proc:P.c06 ~kind:M.Level1 ~tstop ?dt c with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument msg ->
+      let arg = if Float.is_finite tstop && tstop > 0.0 then "dt" else "tstop" in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %s" what msg arg)
+        true
+        (String.starts_with ~prefix:("Tran.run: " ^ arg ^ " = ") msg)
+  in
+  rejects "dt = 0" ~dt:0.0 1e-6;
+  rejects "dt = nan" ~dt:Float.nan 1e-6;
+  rejects "negative dt" ~dt:(-1e-9) 1e-6;
+  rejects "infinite dt" ~dt:Float.infinity 1e-6;
+  rejects "dt = 1e-22 on 1 us" ~dt:1e-22 1e-6;
+  rejects "tstop = 0" 0.0;
+  rejects "negative tstop" ~dt:1e-9 (-1e-6);
+  rejects "tstop = nan" ~dt:1e-9 Float.nan;
+  (* a maximum step beyond the window is only clipped to it *)
+  let r = Sim.Tran.run ~proc:P.c06 ~kind:M.Level1 ~tstop:1e-6 ~dt:1.0 c in
+  Alcotest.(check (float 0.0)) "ends at tstop" 1e-6
+    (let ts = Sim.Tran.times r in ts.(Array.length ts - 1))
+
+(* A source that turns nan part-way: every step into it fails, the steps
+   halve towards the boundary and the run ends in a typed failure naming
+   the time, after a bounded amount of work. *)
+let test_tran_step_floor () =
+  let wave t = if t <= 0.0 then 0.0 else if t < 0.5e-6 then 1.0 else Float.nan in
+  let c = rc_circuit ~r:1e3 ~cap:1e-9 wave in
+  Obs.Config.with_enabled true (fun () ->
+    Obs.Metrics.reset ();
+    Fun.protect ~finally:Obs.Metrics.reset (fun () ->
+      (match Sim.Tran.run ~proc:P.c06 ~kind:M.Level1 ~tstop:1e-6 ~dt:1e-8 c with
+       | _ -> Alcotest.fail "a nan source converged"
+       | exception Phys.Numerics.No_convergence msg ->
+         let has sub =
+           let n = String.length sub in
+           let rec go i =
+             i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+           in
+           go 0
+         in
+         Alcotest.(check bool) (msg ^ " names the time") true (has "at t=5e-07"));
+      check_in_range "steps" 1.0 1000.0 (Obs.Metrics.counter "sim.tran.steps");
+      check_in_range "Newton iterations" 1.0 5000.0
+        (Obs.Metrics.counter "sim.tran.newton_iters")))
+
+(* An RC (tau = 1 s) driven by a square wave whose phases are four maximum
+   steps long: at the end of every phase the error-controlled run matches
+   the fixed-step backward-Euler oracle at 1/4096 s within 3 mV of a 1-V
+   swing (it reads 1.1-2.1 mV off; the oracle is 0.05 mV off the analytic
+   1 - 1/e at the first phase end).  An edge stepped over or taken a step
+   late would be off by tenths of a volt.  Times are binary fractions, so
+   the edges fall exactly on oracle points. *)
+let test_tran_square_wave () =
+  let phase = 1.0 in
+  let wave t =
+    if t <= 0.0 then 0.0
+    else if int_of_float (Float.ceil (t /. phase)) mod 2 = 1 then 1.0
+    else 0.0
+  in
+  let c = rc_circuit ~title:"rc square" ~r:1e3 ~cap:1e-3 wave in
+  let tstop = 8.0 *. phase in
+  let res =
+    Sim.Tran.run ~proc:P.c06 ~kind:M.Level1 ~tstop ~dt:(phase /. 4.0) c
+  in
+  let oracle =
+    Tran_oracle.run ~proc:P.c06 ~kind:M.Level1 ~tstop ~dt:(1.0 /. 4096.0) c
+  in
+  let ots = Tran_oracle.times oracle and ow = Tran_oracle.waveform oracle "out" in
+  for k = 1 to 8 do
+    let t = float_of_int k *. phase in
+    let i = int_of_float (t *. 4096.0) in
+    Alcotest.(check (float 0.0)) "oracle point" t ots.(i);
+    let got = Sim.Tran.value_at res "out" t in
+    if Float.abs (got -. ow.(i)) > 3e-3 then
+      Alcotest.failf "phase %d end: %.6f V, oracle %.6f V" k got ow.(i)
+  done;
+  Alcotest.(check bool) "fewer steps than the oracle" true
+    (Array.length (Sim.Tran.times res) < Array.length ots / 10);
+  (* a smooth source of the same swing is no edge, however short the
+     steps: same bound, no restarts *)
+  let sine t = 0.5 -. (0.5 *. cos (Float.pi *. t /. phase)) in
+  let c = rc_circuit ~title:"rc sine" ~r:1e3 ~cap:1e-3 sine in
+  let res =
+    Sim.Tran.run ~proc:P.c06 ~kind:M.Level1 ~tstop ~dt:(phase /. 4.0) c
+  in
+  let oracle =
+    Tran_oracle.run ~proc:P.c06 ~kind:M.Level1 ~tstop ~dt:(1.0 /. 4096.0) c
+  in
+  let ow = Tran_oracle.waveform oracle "out" in
+  for k = 1 to 8 do
+    let t = float_of_int k *. phase in
+    let got = Sim.Tran.value_at res "out" t in
+    let want = ow.(int_of_float (t *. 4096.0)) in
+    if Float.abs (got -. want) > 3e-3 then
+      Alcotest.failf "sine, t = %g: %.6f V, oracle %.6f V" t got want
+  done;
+  Alcotest.(check bool) "sine: fewer steps than the oracle" true
+    (Array.length (Sim.Tran.times res) < Array.length ots / 10)
+
+(* A resistor-loaded nmos inverter with a load capacitor, driven by a
+   square wave through a gate resistor: two runs take the same steps and
+   give the same waveforms, bit for bit. *)
+let test_tran_deterministic () =
+  let wave t =
+    if t <= 0.0 then 0.0
+    else if int_of_float (Float.ceil (t /. 50e-9)) mod 2 = 1 then 3.3
+    else 0.0
+  in
+  let dev = Device.Mos.make ~name:"1" ~mtype:E.Nmos ~w:10e-6 ~l:1e-6 () in
+  let c =
+    Ckt.create ~title:"inverter"
+    |> fun c -> Ckt.add_vsource c ~name:"dd" ~p:"vdd" ~n:"0" (El.dc_source 3.3)
+    |> fun c -> Ckt.add_vsource c ~name:"in" ~p:"in" ~n:"0" (El.wave_source wave)
+    |> fun c -> Ckt.add_resistor c ~name:"g" ~p:"in" ~n:"g" ~r:10e3
+    |> fun c -> Ckt.add_resistor c ~name:"d" ~p:"vdd" ~n:"out" ~r:20e3
+    |> fun c -> Ckt.add_mos c ~dev ~d:"out" ~g:"g" ~s:"0" ~b:"0"
+    |> fun c -> Ckt.add_capacitor c ~name:"l" ~p:"out" ~n:"0" ~c:0.5e-12
+  in
+  let run () =
+    Sim.Tran.run ~proc:P.c06 ~kind:M.Level1 ~tstop:200e-9 ~dt:10e-9 c
+  in
+  let a = run () and b = run () in
+  Alcotest.(check bool) "same times" true
+    (Array.length (Sim.Tran.times a) = Array.length (Sim.Tran.times b)
+     && Array.for_all2 bits_eq (Sim.Tran.times a) (Sim.Tran.times b));
+  List.iter
+    (fun node ->
+      Alcotest.(check bool) (node ^ " bit-identical") true
+        (Array.for_all2 bits_eq (Sim.Tran.waveform a node)
+           (Sim.Tran.waveform b node)))
+    [ "g"; "out" ];
+  (* the inverter does switch *)
+  let lo = Array.fold_left Float.min Float.infinity (Sim.Tran.waveform a "out") in
+  check_in_range "output pulled low" 0.0 1.0 lo
+
+let step_control_cases =
+  [
+    case "transient input boundary is typed" test_tran_bad_inputs;
+    case "transient step floor is a typed, bounded failure" test_tran_step_floor;
+    case "square-wave RC matches the oracle at every phase end"
+      test_tran_square_wave;
+    case "transient step control deterministic" test_tran_deterministic;
+  ]
+
 let suite =
   ( "sim",
     [
@@ -659,4 +815,5 @@ let suite =
           prop_kernel_dc_bit_identical;
           prop_ac_matches_oracle;
           prop_kernel_tran_bit_identical;
-        ] )
+        ]
+    @ step_control_cases )

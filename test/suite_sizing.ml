@@ -249,8 +249,10 @@ module Ckt = Netlist.Circuit
 module Flow = Core.Flow
 
 (* The earlier slew bench, kept as the oracle of [Testbench.slew_rate]: one
-   transient over 11 slew times (settled at v1, step down at t_slew, back
-   up at 6 t_slew), with the 10-90% crossings read at time points. *)
+   fixed-step backward-Euler transient ([Tran_oracle], t_slew / 200) over
+   11 slew times (settled at v1, step down at t_slew, back up at
+   6 t_slew), with the 10-90% crossings interpolated between time
+   points. *)
 let oracle_slew ~proc ~kind ~spec amp =
   let lo, hi = spec.Spec.output_range in
   let v0 = lo +. (0.15 *. (hi -. lo)) and v1 = hi -. (0.15 *. (hi -. lo)) in
@@ -264,17 +266,22 @@ let oracle_slew ~proc ~kind ~spec amp =
   let c = Ckt.add_capacitor c ~name:"load" ~p:"out" ~n:El.ground ~c:spec.Spec.cload in
   let extra = [ ("vdd", spec.Spec.vdd); ("inp", v1); ("inn", v1); ("out", v1) ] in
   let res =
-    Sim.Tran.run ~proc ~kind ~tstop:(11.0 *. t_slew) ~dt:(t_slew /. 200.0)
+    Tran_oracle.run ~proc ~kind ~tstop:(11.0 *. t_slew) ~dt:(t_slew /. 200.0)
       ~guess:(Comdiac.Amp.guess_fn amp ~extra) c
   in
-  let ts = Sim.Tran.times res and w = Sim.Tran.waveform res "out" in
+  let ts = Tran_oracle.times res and w = Tran_oracle.waveform res "out" in
   let n = Array.length w in
   let rec index_at tm i = if i >= n || ts.(i) >= tm then i else index_at tm (i + 1) in
+  (* interpolated between the first time point past [level] and the
+     one before, as [Sim.Tran.crossing] does *)
   let rec crossing ~level ~falling i =
+    let past j = if falling then w.(j) <= level else w.(j) >= level in
     if i >= n then None
-    else if (falling && w.(i) <= level) || ((not falling) && w.(i) >= level)
-    then Some ts.(i)
-    else crossing ~level ~falling (i + 1)
+    else if not (past i) then crossing ~level ~falling (i + 1)
+    else if i = 0 || past (i - 1) then Some ts.(i)
+    else
+      let frac = (level -. w.(i - 1)) /. (w.(i) -. w.(i - 1)) in
+      Some (ts.(i - 1) +. (frac *. (ts.(i) -. ts.(i - 1))))
   in
   let dv = v1 -. v0 in
   let edge ~start ~falling =
@@ -310,28 +317,46 @@ let test_slew_oracle_table1 () =
     (fun c -> check_flow_slews (Flow.case_label c) ~spec (Flow.run ~proc ~kind ~spec c))
     Flow.all_cases
 
-(* Seeded points of the GBW 30-100 MHz x C_L 1.5-5 pF lattice; points
-   whose flow fails (the 45 MHz sizing hole) are drawn past. *)
-let test_slew_oracle_lattice () =
-  let st = Random.State.make [| 17 |] in
-  let rec go ok tries =
-    if ok >= 6 || tries >= 30 then ok
-    else begin
-      let gbw = 30.0 +. (5.0 *. float_of_int (Random.State.int st 15)) in
-      let cl = 1.5 +. (0.5 *. float_of_int (Random.State.int st 8)) in
-      let c = List.nth Flow.all_cases (Random.State.int st 4) in
+(* Random points of the GBW 30-100 MHz x C_L 1.5-5 pF lattice, any case;
+   points whose flow fails typed (the 45 MHz sizing hole) are skipped. *)
+let prop_slew_oracle_lattice =
+  QCheck.Test.make ~count:6 ~name:"slew within 1% of the oracle: lattice points"
+    QCheck.(triple (int_range 0 14) (int_range 0 7) (int_range 0 3))
+    (fun (g, l, k) ->
+      let gbw = 30.0 +. (5.0 *. float_of_int g)
+      and cl = 1.5 +. (0.5 *. float_of_int l) in
+      let c = List.nth Flow.all_cases k in
       let spec = { spec with Spec.gbw = gbw *. 1e6; cload = cl *. 1e-12 } in
       match Flow.run ~proc ~kind ~spec c with
+      | exception Phys.Numerics.No_convergence _ -> true
       | r ->
         check_flow_slews
           (Printf.sprintf "%s @ %g MHz, %g pF" (Flow.case_label c) gbw cl)
           ~spec r;
-        go (ok + 1) (tries + 1)
-      | exception (Failure _ | Phys.Numerics.No_convergence _) ->
-        go ok (tries + 1)
-    end
-  in
-  Alcotest.(check int) "six lattice points sized" 6 (go 0 0)
+        true)
+
+(* The error-controlled edge: on every Table-1 amp, synthesized and
+   extracted, each of the two edges takes at most 100 steps (225-365 at
+   the fixed t_slew / 200 step; 75-84 on average here). *)
+let test_slew_steps_per_edge () =
+  List.iter
+    (fun c ->
+      let r = Flow.run ~proc ~kind ~spec c in
+      List.iter
+        (fun (what, amp) ->
+          let tb = Comdiac.Testbench.make ~proc ~kind ~spec amp in
+          Obs.Config.with_enabled true (fun () ->
+            Obs.Metrics.reset ();
+            Fun.protect ~finally:Obs.Metrics.reset (fun () ->
+              ignore (Comdiac.Testbench.slew_rate tb);
+              check_in_range
+                (Printf.sprintf "%s %s: steps of two edges"
+                   (Flow.case_label c) what)
+                2.0 200.0
+                (Obs.Metrics.counter "sim.tran.steps"))))
+        [ ("synthesized", r.Flow.design.FC.amp);
+          ("extracted", Flow.extracted_amp proc r.Flow.design r.Flow.report) ])
+    Flow.all_cases
 
 (* Each edge stops a quarter slew time past its 90% crossing, so the two
    edges together take fewer steps than one 5 t_slew settle window each. *)
@@ -532,10 +557,11 @@ let suite =
       case "two-stage topology" test_two_stage;
       case "simple 5T topology" test_simple_ota;
       case "slew within 1% of the oracle: Table-1 cases" test_slew_oracle_table1;
-      case "slew within 1% of the oracle: lattice points" test_slew_oracle_lattice;
       case "slew bench stops each edge early" test_slew_early_stop;
       case "bench + gbw solve counts" test_bench_solve_counts;
       case "common-mode range = oracle: Table-1 cases" test_cm_range_oracle;
       case "failed null is typed and bounded" test_null_failure_bounded;
     ]
-    @ qcheck_cases [ prop_sizing_scales_with_load; prop_null_matches_oracle ] )
+    @ qcheck_cases [ prop_sizing_scales_with_load; prop_null_matches_oracle ]
+    @ qcheck_cases [ prop_slew_oracle_lattice ]
+    @ [ case "slew bench: at most 100 steps per edge" test_slew_steps_per_edge ] )
