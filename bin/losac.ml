@@ -57,17 +57,8 @@ let jobs_term =
      to the machine's recommended domain count."
   in
   Arg.(value
-       & opt (some int) None
+       & opt (some pos_int) None
        & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "LOSAC_JOBS") ~doc)
-
-let chunk_term =
-  let doc =
-    "Items per pool chunk for parallel sections.  Defaults to a \
-     cost-aware adaptive size; pinning it makes chunk boundaries (and \
-     hence per-chunk telemetry) reproducible across runs.  Results are \
-     bit-identical whatever the value."
-  in
-  Arg.(value & opt (some int) None & info [ "chunk" ] ~docv:"N" ~doc)
 
 let seed_term =
   let doc =
@@ -128,10 +119,10 @@ let stats_view () =
    | [] -> Format.printf "  (pool never started -- no parallel section ran)@."
    | workers ->
      (* Workers first, then executors/callers, each group by domain id.
-        Every chunk is accounted to exactly one domain (a caller-helps
-        chunk lands on the submitting executor's own row, never also on
-        a worker row), so the by-role totals below sum to the true chunk
-        count even when several executors share the pool. *)
+        Every chunk is accounted to exactly one domain (a chunk an
+        executor drains of its own batch lands on its own row, never
+        also on a worker row), so the by-role totals below sum to the
+        true chunk count even when several executors share the pool. *)
      let rank (w : Par.Pool.worker_stat) =
        if w.Par.Pool.ws_role = "worker" then 0 else 1
      in
@@ -143,19 +134,17 @@ let stats_view () =
            | c -> c)
          workers
      in
-     Format.printf "  %-8s %-8s %8s %12s %12s %6s %7s %8s %6s %9s@." "domain"
-       "role" "tasks" "busy ms" "wait ms" "busy%" "steals" "attempts" "spins"
-       "warmup ms";
+     Format.printf "  %-8s %-8s %8s %12s %12s %6s %7s %9s@." "domain"
+       "role" "tasks" "busy ms" "wait ms" "busy%" "steals" "warmup ms";
      List.iter
        (fun (w : Par.Pool.worker_stat) ->
          Format.printf
-           "  %-8d %-8s %8d %12.3f %12.3f %5.1f%% %7d %8d %6d %9.3f@."
+           "  %-8d %-8s %8d %12.3f %12.3f %5.1f%% %7d %9.3f@."
            w.Par.Pool.ws_domain w.Par.Pool.ws_role w.Par.Pool.ws_tasks
            (w.Par.Pool.ws_busy_us /. 1e3)
            (w.Par.Pool.ws_wait_us /. 1e3)
            (100.0 *. w.Par.Pool.ws_busy_frac)
-           w.Par.Pool.ws_steals w.Par.Pool.ws_steal_attempts
-           w.Par.Pool.ws_steal_spins
+           w.Par.Pool.ws_steals
            (w.Par.Pool.ws_warmup_us /. 1e3))
        workers;
      let by_role =
@@ -206,7 +195,6 @@ type telemetry = {
   openmetrics : bool;
   prof_folded : string option;
   jobs : int option;
-  chunk : int option;
   cache : bool option;
   seed : int option;
 }
@@ -255,7 +243,7 @@ let telemetry_term =
                    line) to $(docv); feed it to flamegraph.pl or \
                    speedscope.  Implies telemetry collection.")
   in
-  let setup trace metrics verbose jobs chunk cache seed stats
+  let setup trace metrics verbose jobs cache seed stats
       openmetrics prof_folded =
     Fmt_tty.setup_std_outputs ();
     Logs.set_reporter (Logs_fmt.reporter ());
@@ -268,17 +256,17 @@ let telemetry_term =
       Obs.Config.set_enabled true;
     Option.iter Par.Pool.set_default_jobs jobs;
     Option.iter Cache.Config.set_enabled cache;
-    { trace; metrics; stats; openmetrics; prof_folded; jobs; chunk; cache;
+    { trace; metrics; stats; openmetrics; prof_folded; jobs; cache;
       seed }
   in
-  Term.(const setup $ trace $ metrics $ verbose $ jobs_term $ chunk_term
+  Term.(const setup $ trace $ metrics $ verbose $ jobs_term
         $ cache_term $ seed_term $ stats $ openmetrics
         $ prof_folded)
 
 (* The execution context handed to the analyses: one bundle instead of
    loose ?jobs/?cache/?telemetry arguments (see Core.Ctx). *)
 let ctx_of ?label tele proc =
-  Core.Ctx.make ?jobs:tele.jobs ?chunk:tele.chunk ?cache:tele.cache
+  Core.Ctx.make ?jobs:tele.jobs ?cache:tele.cache
     ?seed:tele.seed ?label proc
 
 (* Emit whatever telemetry the flags requested, after the command ran. *)
@@ -341,7 +329,7 @@ let format_term =
    Protocol.request a client would send and answers it with the same
    Api.execute the server's executor thread calls. *)
 let request_of ?timeout_s ?telemetry tele proc kind spec workload =
-  Serve.Protocol.request ?jobs:tele.jobs ?chunk:tele.chunk ?cache:tele.cache
+  Serve.Protocol.request ?jobs:tele.jobs ?cache:tele.cache
     ?seed:tele.seed ?timeout_s ?telemetry
     ~proc:proc.Technology.Process.name ~kind ~spec workload
 

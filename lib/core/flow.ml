@@ -240,7 +240,6 @@ let run_all ?options ?ctx ?jobs ?proc ~kind ~spec () =
   (* the four Table-1 cases are independent end-to-end syntheses *)
   let proc = Ctx.proc ?override:proc ctx in
   let jobs = Ctx.jobs ?override:jobs ctx in
-  let chunk = Ctx.chunk ctx in
   Ctx.run ctx @@ fun () ->
   (* Each case is an entire synthesis flow: expensive — one per chunk.
      Only the deadline is threaded into the per-case contexts: the
@@ -252,7 +251,7 @@ let run_all ?options ?ctx ?jobs ?proc ~kind ~spec () =
     | Some { Ctx.deadline = Some d; _ } -> Some (Ctx.make ~deadline:d proc)
     | Some _ | None -> None
   in
-  Pool.map ?jobs ?chunk ~cost:Pool.Expensive
+  Pool.map ?jobs ~cost:Pool.Expensive
     (fun case -> run ?options ?ctx:case_ctx ~proc ~kind ~spec case)
     all_cases
 

@@ -1,7 +1,6 @@
 type t = {
   proc : Technology.Process.t;
   jobs : int option;
-  chunk : int option;
   cache : bool option;
   telemetry : bool option;
   label : string option;
@@ -10,9 +9,9 @@ type t = {
   seed : int option;
 }
 
-let make ?jobs ?chunk ?cache ?telemetry ?label ?deadline ?cancel ?seed proc =
+let make ?jobs ?cache ?telemetry ?label ?deadline ?cancel ?seed proc =
   let cancel = match cancel with Some c -> c | None -> Atomic.make false in
-  { proc; jobs; chunk; cache; telemetry; label; deadline; cancel; seed }
+  { proc; jobs; cache; telemetry; label; deadline; cancel; seed }
 
 let with_timeout timeout_s ctx =
   match timeout_s with
@@ -42,11 +41,6 @@ let jobs ?override ctx =
   match override with
   | Some _ -> override
   | None -> ( match ctx with Some c -> c.jobs | None -> None)
-
-let chunk ?override ctx =
-  match override with
-  | Some _ -> override
-  | None -> ( match ctx with Some c -> c.chunk | None -> None)
 
 let default_seed = 42
 

@@ -23,10 +23,6 @@ type t = {
   proc : Technology.Process.t;  (** technology the analysis runs on *)
   jobs : int option;
       (** domain-pool width; [None] = {!Par.Pool.default_jobs} *)
-  chunk : int option;
-      (** pool chunk size; [None] = the pool's cost-aware adaptive
-          choice.  Pinning it makes chunk boundaries (and hence
-          telemetry) reproducible across runs. *)
   cache : bool option;
       (** force memo caches on/off; [None] = leave {!Cache.Config} alone *)
   telemetry : bool option;
@@ -55,7 +51,7 @@ type t = {
 }
 
 val make :
-  ?jobs:int -> ?chunk:int -> ?cache:bool -> ?telemetry:bool ->
+  ?jobs:int -> ?cache:bool -> ?telemetry:bool ->
   ?label:string ->
   ?deadline:float ->
   ?cancel:bool Atomic.t ->
@@ -89,10 +85,6 @@ val jobs : ?override:int -> t option -> int option
 (** Resolve the pool width to pass to {!Par.Pool} combinators: an
     explicit [?jobs] argument wins over [ctx.jobs]; [None] defers to the
     pool's own default. *)
-
-val chunk : ?override:int -> t option -> int option
-(** Resolve the pool chunk size the same way; [None] defers to the
-    pool's adaptive planner. *)
 
 val seed : ?override:int -> t option -> int
 (** Resolve the RNG seed the same way as every other switch: explicit

@@ -11,9 +11,9 @@
    Every fluid created through [make] also registers itself in a global
    registry so [capture] can snapshot *all* current bindings of the
    calling domain generically, without knowing their types.  The pool
-   captures one snapshot per batch and re-installs it around each slice
-   on whichever domain ends up running it (worker, thief or helping
-   caller), so dynamic scope follows the work, not the domain.
+   captures one snapshot per batch and re-installs it around each chunk
+   on whichever domain ends up running it (a worker or the submitter),
+   so dynamic scope follows the work, not the domain.
 
    A captured value is an immutable ['a option]; installing it on
    another domain shares the (immutable) payload, never mutable state.

@@ -12,8 +12,8 @@
     Fluids register in a process-wide registry so {!capture} can
     snapshot every current binding of the calling domain generically;
     [Par.Pool] captures one snapshot per batch and installs it around
-    each slice body, so dynamic scope follows work onto worker domains
-    (including steals and caller-helps).
+    each chunk, so dynamic scope follows work onto whichever domain
+    runs it.
 
     DLS is per-{e domain}: systhreads within one domain share
     bindings.  Isolated scopes must run on distinct domains — the job

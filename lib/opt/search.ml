@@ -195,7 +195,6 @@ let run ?ctx ?(starts = 6) ?(budget = 480) ?(strategy = Nelder_mead) ?seed
   let proc = Exec.Ctx.proc ?override:proc ctx in
   let seed = Exec.Ctx.seed ?override:seed ctx in
   let jobs = Exec.Ctx.jobs ctx in
-  let chunk = Exec.Ctx.chunk ctx in
   let starts = max 1 starts in
   let budget = max (4 * O.dims * starts) budget in
   Exec.Ctx.run ctx @@ fun () ->
@@ -271,7 +270,7 @@ let run ?ctx ?(starts = 6) ?(budget = 480) ?(strategy = Nelder_mead) ?seed
   in
   let t0 = Obs.Clock.monotonic_s () in
   let per_start_results =
-    Par.Pool.map ?jobs ?chunk ~cost:Par.Pool.Expensive one
+    Par.Pool.map ?jobs ~cost:Par.Pool.Expensive one
       (List.init starts Fun.id)
   in
   let t1 = Obs.Clock.monotonic_s () in
@@ -293,7 +292,7 @@ let run ?ctx ?(starts = 6) ?(budget = 480) ?(strategy = Nelder_mead) ?seed
     |> List.rev
   in
   let sim_pts =
-    Par.Pool.map ?jobs ?chunk ~cost:Par.Pool.Expensive
+    Par.Pool.map ?jobs ~cost:Par.Pool.Expensive
       (fun v -> O.eval ?ctx obj ~mode:O.Simulated v)
       survivors_vecs
   in

@@ -182,9 +182,6 @@ let stats_payload () =
             ("wait_us", J.Num w.Par.Pool.ws_wait_us);
             ("busy_frac", J.Num w.Par.Pool.ws_busy_frac);
             ("steals", J.Num (float_of_int w.Par.Pool.ws_steals));
-            ("steal_attempts",
-             J.Num (float_of_int w.Par.Pool.ws_steal_attempts));
-            ("steal_spins", J.Num (float_of_int w.Par.Pool.ws_steal_spins));
             ("warmup_us", J.Num w.Par.Pool.ws_warmup_us);
           ])
       (Par.Pool.worker_stats ())
@@ -303,7 +300,7 @@ let classify ~analysis f =
 let run_workload ?cancel (r : P.request) proc =
   let ctx =
     Exec.Ctx.with_timeout r.P.timeout_s
-      (Exec.Ctx.make ?jobs:r.P.jobs ?chunk:r.P.chunk ?cache:r.P.cache
+      (Exec.Ctx.make ?jobs:r.P.jobs ?cache:r.P.cache
          ?seed:r.P.seed
          ?telemetry:(if r.P.telemetry then Some true else None)
          ~label:(P.workload_name r.P.workload) ?cancel proc)

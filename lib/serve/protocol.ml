@@ -24,7 +24,6 @@ type request = {
   kind : Device.Model.kind;
   spec : Comdiac.Spec.t;
   jobs : int option;
-  chunk : int option;
   cache : bool option;
   seed : int option;
   timeout_s : float option;
@@ -32,9 +31,9 @@ type request = {
 }
 
 let request ?(id = 0) ?(proc = "c06") ?(kind = Device.Model.Bsim_lite)
-    ?(spec = Comdiac.Spec.paper_ota) ?jobs ?chunk ?cache ?seed
+    ?(spec = Comdiac.Spec.paper_ota) ?jobs ?cache ?seed
     ?timeout_s ?(telemetry = false) workload =
-  { id; workload; proc; kind; spec; jobs; chunk; cache; seed;
+  { id; workload; proc; kind; spec; jobs; cache; seed;
     timeout_s; telemetry }
 
 let workload_name = function
@@ -142,7 +141,6 @@ let request_to_json r =
   let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
   let ctx_fields =
     opt "jobs" (fun j -> J.Num (float_of_int j)) r.jobs
-    @ opt "chunk" (fun c -> J.Num (float_of_int c)) r.chunk
     @ opt "cache" (fun b -> J.Bool b) r.cache
     @ opt "seed" (fun s -> J.Num (float_of_int s)) r.seed
   in
@@ -367,7 +365,7 @@ let spec_of_json = function
 
 let ctx_of_json json =
   match json with
-  | None -> Ok (None, None, None, None)
+  | None -> Ok (None, None, None)
   | Some cj ->
     let opt_int name =
       match field name cj with
@@ -375,8 +373,16 @@ let ctx_of_json json =
       | Some (J.Num v) when Float.is_integer v -> Ok (Some (int_of_float v))
       | Some _ -> Error (Printf.sprintf "ctx.%s must be an integer" name)
     in
-    let* jobs = opt_int "jobs" in
-    let* chunk = opt_int "chunk" in
+    let* jobs =
+      match opt_int "jobs" with
+      | Ok (Some j) when j < 1 -> Error "ctx.jobs must be a positive integer"
+      | r -> r
+    in
+    (* The chunk-size knob was removed: chunk size is a fixed function of
+       the input size, pool width and cost class, and it never changed a
+       result.  Older clients still send it, so it is still type-checked
+       and then ignored. *)
+    let* _chunk = opt_int "chunk" in
     let* cache =
       match field "cache" cj with
       | None | Some J.Null -> Ok None
@@ -396,7 +402,7 @@ let ctx_of_json json =
            kernel (omit the field or send \"kernel\")"
     in
     let* seed = opt_int "seed" in
-    Ok (jobs, chunk, cache, seed)
+    Ok (jobs, cache, seed)
 
 let request_of_json json =
   let* api = str_field "api" json in
@@ -420,7 +426,7 @@ let request_of_json json =
       | None -> Error (Printf.sprintf "unknown model %S (level1|bsim-lite)" model)
     in
     let* spec = spec_of_json (field "spec" json) in
-    let* jobs, chunk, cache, seed = ctx_of_json (field "ctx" json) in
+    let* jobs, cache, seed = ctx_of_json (field "ctx" json) in
     let* timeout_s =
       match field "timeout_s" json with
       | None | Some J.Null -> Ok None
@@ -434,7 +440,7 @@ let request_of_json json =
       | Some _ -> Error "telemetry must be a boolean"
     in
     Ok
-      { id; workload; proc; kind; spec; jobs; chunk; cache; seed;
+      { id; workload; proc; kind; spec; jobs; cache; seed;
         timeout_s; telemetry }
 
 (* The id recoverable from an arbitrary (possibly invalid) request, for

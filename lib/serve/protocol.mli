@@ -7,7 +7,7 @@
     Carlo or corner verification, or a cheap diagnostic), the technology
     and model, spec overrides (absent fields keep the paper's Table-1
     values), execution-context flags that map onto a scoped
-    {!Exec.Ctx.t} (jobs/chunk/cache/seed), an optional cooperative
+    {!Exec.Ctx.t} (jobs/cache/seed), an optional cooperative
     timeout, and a telemetry opt-in.
 
     A {e response} carries a status built on {!Sim.Sim_error.t} (plus
@@ -59,7 +59,6 @@ type request = {
   kind : Device.Model.kind;
   spec : Comdiac.Spec.t;
   jobs : int option;
-  chunk : int option;
   cache : bool option;
   seed : int option;
       (** base RNG seed ({!Exec.Ctx.seed}); additive [ctx.seed] wire
@@ -72,7 +71,7 @@ type request = {
 
 val request :
   ?id:int -> ?proc:string -> ?kind:Device.Model.kind ->
-  ?spec:Comdiac.Spec.t -> ?jobs:int -> ?chunk:int -> ?cache:bool ->
+  ?spec:Comdiac.Spec.t -> ?jobs:int -> ?cache:bool ->
   ?seed:int -> ?timeout_s:float ->
   ?telemetry:bool ->
   workload -> request

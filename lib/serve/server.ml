@@ -207,8 +207,8 @@ let take_next t =
 
 let executor t ex () =
   (* Label this domain's pool account so `losac stats` renders a row per
-     executor (its caller-helps chunks are charged here, not to a
-     generic "caller" row). *)
+     executor (the chunks it drains of its own batches are charged here,
+     not to a generic "caller" row). *)
   Par.Pool.set_role (Printf.sprintf "exec-%d" ex);
   let rec loop () =
     Mutex.lock t.lock;

@@ -81,7 +81,7 @@ type exec_stat = { ex_id : int; ex_jobs : int; ex_busy_s : float }
 val executor_stats : t -> exec_stat list
 (** Per-executor accounting: jobs completed and total time spent inside
     [Api.execute].  Pool-level per-executor rows (chunks an executor ran
-    itself via caller-helps) appear in [Par.Pool.worker_stats] under
+    itself while draining its own batches) appear in [Par.Pool.worker_stats] under
     roles ["exec-0"].."exec-N". *)
 
 val run : config -> int

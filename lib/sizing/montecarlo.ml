@@ -102,7 +102,6 @@ let run ?seed ?(n = 50) ?ctx ?jobs ?proc ~kind ~spec amp =
   let seed = Exec.Ctx.seed ?override:seed ctx in
   let proc = Exec.Ctx.proc ?override:proc ctx in
   let jobs = Exec.Ctx.jobs ?override:jobs ctx in
-  let chunk = Exec.Ctx.chunk ctx in
   Exec.Ctx.run ctx @@ fun () ->
   (* Sample [i] draws from SplitMix64 stream [(seed, i)], so its value
      depends only on the run seed and its own index — never on which
@@ -136,7 +135,7 @@ let run ?seed ?(n = 50) ?ctx ?jobs ?proc ~kind ~spec amp =
         List.filter_map Fun.id
           (* a sample is one small-signal solve: cheap — let the pool
              batch many per chunk *)
-          (Par.Pool.map ?jobs ?chunk ~cost:Par.Pool.Cheap one
+          (Par.Pool.map ?jobs ~cost:Par.Pool.Cheap one
              (List.init n Fun.id)))
   in
   if samples = [] then failwith "Montecarlo.run: no sample converged";

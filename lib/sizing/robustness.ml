@@ -62,7 +62,6 @@ let point_memo :
 let run ?corners ?temperatures ?ctx ?jobs ?rebias ?proc ~kind ~spec amp =
   let proc = Exec.Ctx.proc ?override:proc ctx in
   let jobs = Exec.Ctx.jobs ?override:jobs ctx in
-  let chunk = Exec.Ctx.chunk ctx in
   Exec.Ctx.run ctx @@ fun () ->
   let grid = C.sweep_grid ?corners ?temperatures () in
   let measure (corner, temperature) =
@@ -85,8 +84,8 @@ let run ?corners ?temperatures ?ctx ?jobs ?rebias ?proc ~kind ~spec amp =
       "robustness.sweep"
       (fun () ->
         (* a corner point re-corners and re-simulates a whole design:
-           moderate cost, a few points per chunk at most *)
-        Par.Pool.map ?jobs ?chunk ~cost:Par.Pool.Moderate measure grid)
+           moderate cost, one point per chunk *)
+        Par.Pool.map ?jobs ~cost:Par.Pool.Moderate measure grid)
   in
   let biased = List.filter (fun p -> p.biased) points in
   let fold f init xs = List.fold_left f init xs in

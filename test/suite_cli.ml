@@ -66,7 +66,12 @@ let test_usage_errors () =
       [ "optimize"; "--budget"; "0" ];
       [ "job"; "mc"; "--count"; "0" ];
       [ "job"; "verify"; "--samples"; "0" ];
-    ]
+      [ "synth"; "--case"; "1"; "--jobs"; "0" ];
+      [ "synth"; "--case"; "1"; "--jobs=-3" ];
+      [ "verify"; "-j"; "0"; "--format"; "json" ];
+    ];
+  Alcotest.(check int) "LOSAC_JOBS=0 is a usage error" usage_error
+    (exit_code ~env:[ ("LOSAC_JOBS", "0") ] [ "synth"; "--case"; "1" ])
 
 let test_repeat_zero_valid () =
   Alcotest.(check int) "stats --repeat 0 runs" 0

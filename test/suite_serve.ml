@@ -70,8 +70,7 @@ let request_gen =
     oneofl [ Device.Model.Level1; Device.Model.Bsim_lite ] >>= fun kind ->
     float_range hi_out 1e6 >>= fun vdd ->
     float_range 1.0 1e12 >>= fun gbw ->
-    opt (int_bound 7) >>= fun jobs ->
-    opt (int_bound 64) >>= fun chunk ->
+    opt (int_range 1 8) >>= fun jobs ->
     opt bool >>= fun cache ->
     opt (int_bound 9999) >>= fun seed ->
     opt (float_bound_inclusive 10.0) >>= fun timeout_s ->
@@ -79,7 +78,7 @@ let request_gen =
     return
       (P.request ~id ~proc ~kind
          ~spec:{ Comdiac.Spec.paper_ota with Comdiac.Spec.vdd; gbw }
-         ?jobs ?chunk ?cache ?seed ?timeout_s ~telemetry workload))
+         ?jobs ?cache ?seed ?timeout_s ~telemetry workload))
 
 let prop_request_roundtrip =
   QCheck.Test.make ~name:"requests round-trip through the wire encoding"
@@ -163,6 +162,44 @@ let test_request_decode_errors () =
     (P.salvage_id (Result.get_ok (J.parse {|{"id":17,"workload":"?"}|})));
   Alcotest.(check int) "salvage_id defaults to -1" (-1)
     (P.salvage_id (Result.get_ok (J.parse {|{"workload":"?"}|})))
+
+(* ctx.jobs is a pool width: zero and negative widths are refused at
+   decode, which the server answers as a typed invalid_request.  The
+   removed ctx.chunk knob is still type-checked, then ignored. *)
+let test_ctx_decoding () =
+  let decode ctx =
+    match
+      J.parse
+        (Printf.sprintf
+           {|{"api":"losac.job/1","workload":{"kind":"ping"},"ctx":%s}|} ctx)
+    with
+    | Error m -> Error m
+    | Ok json -> P.request_of_json json
+  in
+  List.iter
+    (fun ctx ->
+      match decode ctx with
+      | Ok _ -> Alcotest.failf "ctx %s unexpectedly decoded" ctx
+      | Error m ->
+        Alcotest.(check string)
+          (Printf.sprintf "ctx %s: message" ctx)
+          "ctx.jobs must be a positive integer" m)
+    [ {|{"jobs":0}|}; {|{"jobs":-3}|} ];
+  (match decode {|{"jobs":2.5}|} with
+   | Ok _ -> Alcotest.fail "fractional ctx.jobs decoded"
+   | Error m -> Alcotest.(check string) "fractional jobs" "ctx.jobs must be an integer" m);
+  (match decode {|{"jobs":1}|} with
+   | Ok r -> Alcotest.(check (option int)) "jobs 1 kept" (Some 1) r.P.jobs
+   | Error m -> Alcotest.failf "ctx.jobs 1 rejected: %s" m);
+  (match decode {|{"chunk":"x"}|} with
+   | Ok _ -> Alcotest.fail "ill-typed ctx.chunk decoded"
+   | Error m -> Alcotest.(check string) "ill-typed chunk" "ctx.chunk must be an integer" m);
+  match (decode {|{"jobs":2,"chunk":16}|}, decode {|{"jobs":2}|}) with
+  | Ok with_chunk, Ok without ->
+    Alcotest.(check string) "ctx.chunk ignored"
+      (J.to_string (P.request_to_json without))
+      (J.to_string (P.request_to_json with_chunk))
+  | Error m, _ | _, Error m -> Alcotest.failf "ctx with chunk rejected: %s" m
 
 let test_response_message_roundtrip () =
   let resp =
@@ -806,4 +843,6 @@ let suite =
     @ [
         case "45 MHz sizing hole served as a typed no_convergence"
           test_served_sizing_hole_typed;
+        case "ctx.jobs must be positive; ctx.chunk is ignored"
+          test_ctx_decoding;
       ] )

@@ -510,7 +510,7 @@ let test_ac_shared_across_domains () =
   Par.Pool.set_stall_hook (Some (fun _ -> Unix.sleepf 0.002));
   let got =
     Fun.protect ~finally:(fun () -> Par.Pool.set_stall_hook None) (fun () ->
-      Par.Pool.map ~jobs:2 ~chunk:1
+      Par.Pool.map ~jobs:2 ~cost:Par.Pool.Moderate
         (fun _ -> ((Domain.self () :> int), measure ()))
         (List.init 8 Fun.id))
   in
