@@ -496,8 +496,12 @@ let layout_cmd =
      | Some cell ->
        (match svg with
         | Some path ->
-          Out_channel.with_open_text path (fun oc ->
-            output_string oc (Cairo_layout.Render.svg cell));
+          (try
+             Out_channel.with_open_text path (fun oc ->
+               output_string oc (Cairo_layout.Render.svg cell))
+           with Sys_error msg ->
+             Format.eprintf "losac: cannot write svg: %s@." msg;
+             exit 1);
           Format.printf "wrote %s@." path
         | None -> ());
        if ascii then

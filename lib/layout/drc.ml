@@ -53,7 +53,7 @@ let check proc cell =
     (fun r ->
       let existing = try Hashtbl.find by_layer r.G.layer with Not_found -> [] in
       Hashtbl.replace by_layer r.G.layer (r :: existing))
-    cell.Cell.rects;
+    (Cell.flatten cell);
   let violations = ref [] in
   Hashtbl.iter
     (fun layer rects ->

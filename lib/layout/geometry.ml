@@ -34,12 +34,6 @@ let union_bbox a b =
     x0 = min a.x0 b.x0; y0 = min a.y0 b.y0;
     x1 = max a.x1 b.x1; y1 = max a.y1 b.y1 }
 
-let bbox_of = function
-  | [] -> None
-  | r :: rest ->
-    let b = List.fold_left union_bbox r rest in
-    Some (b.x0, b.y0, b.x1, b.y1)
-
 let mirror_x ~axis r =
   { r with x0 = (2 * axis) - r.x1; x1 = (2 * axis) - r.x0 }
 

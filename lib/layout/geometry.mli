@@ -28,9 +28,6 @@ val spacing : rect -> rect -> int
 val union_bbox : rect -> rect -> rect
 (** Bounding box of the two, tagged with the first one's layer. *)
 
-val bbox_of : rect list -> (int * int * int * int) option
-(** [(x0, y0, x1, y1)] over all rectangles; [None] for the empty list. *)
-
 val mirror_x : axis:int -> rect -> rect
 (** Mirror across the vertical line x = axis. *)
 

@@ -119,7 +119,9 @@ let generate proc spec =
   in
   (* gate pick-up above the gates: a poly pad lifted clear of the strip
      metal straps (the straps overhang the active by one lambda), with a
-     contact and a metal1 port on top *)
+     contact and a metal1 port on top.  Every contact cut is drawn as a
+     column, this lone one as a column of one, so that [Cell.flatten]
+     lists all cuts in drawing order. *)
   let pc = rules.R.poly_contact_enclosure in
   let cs = rules.R.contact_size in
   let pad_w = cs + (2 * pc) in
@@ -134,7 +136,7 @@ let generate proc spec =
       Cell.add_rect c
         (G.rect L.Poly ~x0:pad_x0 ~y0:pad_base ~x1:(pad_x0 + pad_w) ~y1:pad_top))
     |> (fun c ->
-      Cell.add_rect c
+      Cell.add_column c ~count:1 ~pitch:0
         (G.rect L.Contact ~x0:(pad_x0 + pc) ~y0:contact_y0 ~x1:(pad_x0 + pc + cs)
            ~y1:(contact_y0 + cs)))
     |> fun c ->
@@ -185,12 +187,9 @@ let generate proc spec =
         let total_h = (n * cs) + ((n - 1) * cspace) in
         let start_y = (wf - total_h) / 2 in
         let c =
-          List.fold_left
-            (fun c k ->
-              let y0 = start_y + (k * (cs + cspace)) in
-              Cell.add_rect c (G.rect L.Contact ~x0:col_x0 ~y0 ~x1:(col_x0 + cs) ~y1:(y0 + cs)))
-            c
-            (List.init n Fun.id)
+          Cell.add_column c ~count:n ~pitch:(cs + cspace)
+            (G.rect L.Contact ~x0:col_x0 ~y0:start_y ~x1:(col_x0 + cs)
+               ~y1:(start_y + cs))
         in
         (* metal1 strap over the column, EM-sized, overhanging the active
            vertically so routing can reach it *)
@@ -230,13 +229,9 @@ let generate proc spec =
     let total_h = (n * cs) + ((n - 1) * cspace) in
     let start_y = (wf - total_h) / 2 in
     let c =
-      List.fold_left
-        (fun c k ->
-          let y0 = start_y + (k * (cs + cspace)) in
-          Cell.add_rect c
-            (G.rect L.Contact ~x0:(tap_x0 + encl) ~y0 ~x1:(tap_x0 + encl + cs) ~y1:(y0 + cs)))
-        c
-        (List.init n Fun.id)
+      Cell.add_column c ~count:n ~pitch:(cs + cspace)
+        (G.rect L.Contact ~x0:(tap_x0 + encl) ~y0:start_y
+           ~x1:(tap_x0 + encl + cs) ~y1:(start_y + cs))
     in
     let m1 = G.rect L.Metal1 ~x0:tap_x0 ~y0:(-1) ~x1:tap_x1 ~y1:(wf + 1) in
     Cell.add_port (Cell.add_rect c m1) ~net:spec.b_net m1

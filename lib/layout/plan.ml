@@ -2,7 +2,6 @@ module L = Technology.Layer
 module P = Technology.Process
 module E = Technology.Electrical
 module F = Device.Folding
-module G = Geometry
 
 type group =
   | Single of { spec : Motif.spec; allowed_folds : int list }
@@ -191,7 +190,6 @@ type report = {
   total_w : int;
   total_h : int;
   cell : Cell.t option;
-  group_cells : (string * Cell.t) list;
 }
 
 let well_cap proc cell =
@@ -202,14 +200,7 @@ let well_cap proc cell =
     let area = float_of_int area_lambda2 *. lam *. lam in
     (* perimeter approximation: the wells drawn by the generators are
        rectangles; sum their perimeters *)
-    let perim =
-      List.fold_left
-        (fun acc r ->
-          if r.G.layer = L.Nwell then
-            acc + (2 * (G.width r + G.height r))
-          else acc)
-        0 cell.Cell.rects
-    in
+    let perim = Cell.layer_perimeter cell L.Nwell in
     (proc.P.electrical.E.nwell_cap_area *. area)
     +. (proc.P.electrical.E.nwell_cap_perim *. float_of_int perim *. lam)
   end
@@ -257,14 +248,13 @@ let run ?max_w ?max_h ?aspect ~mode ~nets proc floorplan =
     in
     let device_styles = List.concat_map (fun (_, v, _) -> v.v_styles) chosen in
     let device_drains = List.concat_map (fun (_, v, _) -> v.v_drains) chosen in
-    let placed_cells =
-      List.map
-        (fun (g, v, p) ->
-          ( group_name g,
-            Cell.translate ~dx:p.Slicing.x ~dy:p.Slicing.y v.v_cell ))
-        chosen
+    let placed =
+      Cell.merge "floorplan"
+        (List.map
+           (fun (_, v, p) ->
+             Cell.translate ~dx:p.Slicing.x ~dy:p.Slicing.y v.v_cell)
+           chosen)
     in
-    let placed = Cell.merge "floorplan" (List.map snd placed_cells) in
     let routing = Route.route proc ~placed ~nets in
     (* per-net summaries: routing + coupling + well junctions *)
     let well_caps =
@@ -322,7 +312,6 @@ let run ?max_w ?max_h ?aspect ~mode ~nets proc floorplan =
       total_w = w;
       total_h;
       cell;
-      group_cells = placed_cells;
     }
 
 let find_net report net = List.find_opt (fun s -> s.net = net) report.nets

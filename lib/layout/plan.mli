@@ -51,8 +51,6 @@ type report = {
   total_w : int;  (** lambda, including the routing channel *)
   total_h : int;
   cell : Cell.t option;  (** [Some] in generation mode *)
-  group_cells : (string * Cell.t) list;
-      (** per-group cells (generation mode), for rendering *)
 }
 
 val run :

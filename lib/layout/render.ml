@@ -11,7 +11,7 @@ let ascii ?(max_cols = 100) cell =
   let rows = (h + sy - 1) / sy in
   let grid = Array.make_matrix rows cols ' ' in
   let sorted =
-    List.sort (fun a b -> L.compare a.G.layer b.G.layer) cell.Cell.rects
+    List.sort (fun a b -> L.compare a.G.layer b.G.layer) (Cell.flatten cell)
   in
   List.iter
     (fun r ->
@@ -54,7 +54,7 @@ let svg cell =
        (x1 - x0 + (2 * margin))
        (y1 - y0 + (2 * margin)));
   let sorted =
-    List.sort (fun a b -> L.compare a.G.layer b.G.layer) cell.Cell.rects
+    List.sort (fun a b -> L.compare a.G.layer b.G.layer) (Cell.flatten cell)
   in
   List.iter
     (fun r ->

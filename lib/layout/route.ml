@@ -47,9 +47,7 @@ let net_ports placed net =
 
 let route proc ~placed ~nets =
   let rules = proc.P.rules in
-  let _, _, _, top_y =
-    match placed.Cell.rects with [] -> (0, 0, 0, 0) | _ -> Cell.bbox placed
-  in
+  let _, _, _, top_y = Cell.bbox placed in
   let channel_y0 = top_y + rules.R.metal2_space in
   (* keep only nets that actually appear in the placement; sort by the
      mean x of their ports so neighbouring tracks carry related nets *)

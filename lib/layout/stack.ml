@@ -269,12 +269,10 @@ let generate_with_placement proc spec placement =
     let col_x0 = x + ((len - cs) / 2) in
     let total_h = (geo_contacts * cs) + ((geo_contacts - 1) * cspace) in
     let start_y = (wf - total_h) / 2 in
-    for k = 0 to geo_contacts - 1 do
-      let y0 = start_y + (k * (cs + cspace)) in
-      cell :=
-        Cell.add_rect !cell
-          (G.rect L.Contact ~x0:col_x0 ~y0 ~x1:(col_x0 + cs) ~y1:(y0 + cs))
-    done;
+    cell :=
+      Cell.add_column !cell ~count:geo_contacts ~pitch:(cs + cspace)
+        (G.rect L.Contact ~x0:col_x0 ~y0:start_y ~x1:(col_x0 + cs)
+           ~y1:(start_y + cs));
     let mw = strap_of net in
     let mx0 = col_x0 + (cs / 2) - (mw / 2) in
     let m1 = G.rect L.Metal1 ~x0:mx0 ~y0:(-1) ~x1:(mx0 + mw) ~y1:(wf + 1) in
@@ -314,9 +312,10 @@ let generate_with_placement proc spec placement =
       end)
     strips;
   (* poly pick-up helper: a pad lifted clear of the strip metal straps
-     (which overhang the active by one lambda), with contact and metal1
-     port.  [y_attach] is where the pad meets existing poly; [dir] is the
-     side the pad grows towards. *)
+     (which overhang the active by one lambda), with contact (a column of
+     one, like every cut: see [Motif.generate]) and metal1 port.
+     [y_attach] is where the pad meets existing poly; [dir] is the side
+     the pad grows towards. *)
   let pc = rules.R.poly_contact_enclosure in
   let lift = rules.R.metal1_space in
   let poly_pickup ~x ~y_attach ~dir net =
@@ -329,7 +328,7 @@ let generate_with_placement proc spec placement =
     cell :=
       Cell.add_rect !cell (G.rect L.Poly ~x0:x ~y0:pad_y0 ~x1:(x + pad_w) ~y1:pad_y1);
     cell :=
-      Cell.add_rect !cell
+      Cell.add_column !cell ~count:1 ~pitch:0
         (G.rect L.Contact ~x0:(x + pc) ~y0:contact_y0 ~x1:(x + pc + cs)
            ~y1:(contact_y0 + cs));
     let me = rules.R.metal1_contact_enclosure in

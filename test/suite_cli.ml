@@ -164,6 +164,19 @@ let test_sizing_hole_text () =
     (String.starts_with ~prefix:"losac: no_convergence: " err
      && List.length (String.split_on_char '\n' (String.trim err)) = 1)
 
+(* An SVG path that cannot be opened is reported like an unwritable
+   trace: one line naming the path, exit 1, not an uncaught Sys_error
+   (125). *)
+let test_layout_svg_unwritable () =
+  let path = "/nonexistent/dir/x.svg" in
+  let code, _, err = run [ "layout"; "--svg"; path ] in
+  Alcotest.(check int) "exit 1" 1 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "one cannot-write line: %S" err)
+    true
+    (String.starts_with ~prefix:("losac: cannot write svg: " ^ path ^ ": ") err
+     && List.length (String.split_on_char '\n' (String.trim err)) = 1)
+
 let suite =
   ( "cli",
     [
@@ -176,4 +189,6 @@ let suite =
         test_sizing_hole_typed;
       case "45 MHz sizing hole in text mode exits 1"
         test_sizing_hole_text;
+      case "layout to an unwritable svg path exits 1"
+        test_layout_svg_unwritable;
     ] )

@@ -256,7 +256,8 @@ let test_slicing_aspect_constraint () =
 
 (* --- stacks and pairs -------------------------------------------------- *)
 
-let mirror_spec ?(units = [ 1; 3; 6 ]) ?(current = 1e-3) () =
+let mirror_spec ?(units = [ 1; 3; 6 ]) ?(current = 1e-3) ?(unit_w = 10e-6)
+    () =
   {
     Stack.elements =
       List.mapi
@@ -266,7 +267,7 @@ let mirror_spec ?(units = [ 1; 3; 6 ]) ?(current = 1e-3) () =
             current = current *. float_of_int u })
         units;
     mtype = E.Nmos;
-    unit_w = 10e-6;
+    unit_w;
     l = 2e-6;
     source_net = "vss";
     gate = Stack.Common "bias";
@@ -501,6 +502,180 @@ let test_plan_generation_mode () =
     Alcotest.(check bool) "svg has rects" true
       (String.length svg > 200 && String.sub svg 0 4 = "<svg")
 
+(* --- columns ------------------------------------------------------------ *)
+
+let rect_line r =
+  Printf.sprintf "%s %d %d %d %d" (L.to_string r.G.layer) r.G.x0 r.G.y0 r.G.x1
+    r.G.y1
+
+let sorted_lines f xs = List.sort compare (List.map f xs)
+
+(* The reference for every column-aware query: the same cell with its
+   columns expanded into plain rectangles. *)
+let expanded c =
+  List.fold_left
+    (fun acc p -> Cl.add_port acc ~net:p.Cl.net p.Cl.shape)
+    (Cl.add_rects (Cl.empty "expanded") (Cl.flatten c))
+    (List.rev (Cl.ports c))
+
+(* A violation with its two shapes in a canonical order: which one the
+   checker names first follows the order it met them in. *)
+let violation_line v =
+  let shapes =
+    List.sort compare
+      (rect_line v.Drc.a :: Option.to_list (Option.map rect_line v.Drc.b))
+  in
+  String.concat " | " (v.Drc.rule :: shapes)
+
+let queries c =
+  let x0, y0, x1, y1 = Cl.bbox c in
+  let w, h = Cl.size c in
+  String.concat "\n"
+    ([ Printf.sprintf "bbox %d %d %d %d size %d %d rects %d" x0 y0 x1 y1 w h
+         (Cl.rect_count c) ]
+     @ List.map
+         (fun l ->
+           Printf.sprintf "%s area %d perim %d" (L.to_string l)
+             (Cl.layer_area c l) (Cl.layer_perimeter c l))
+         L.all
+     @ sorted_lines (fun p -> p.Cl.net ^ " " ^ rect_line p.Cl.shape) (Cl.ports c)
+     @ sorted_lines rect_line (Cl.flatten c)
+     @ sorted_lines violation_line (Drc.check P.c06 c))
+
+type gen_cell =
+  | Gen_motif of E.mos_type * int * float * float
+  | Gen_stack of E.mos_type * int list * float * float
+  | Gen_pair of E.mos_type * Pair.style * int * float * float
+
+let cell_of_gen = function
+  | Gen_motif (mtype, nf, w, l) ->
+    let dev =
+      Device.Mos.make ~name:"m" ~mtype ~w ~l
+        ~style:{ F.nf; drain_internal = nf mod 2 = 0 } ()
+    in
+    (Motif.generate P.c06
+       { Motif.dev; d_net = "d"; g_net = "g"; s_net = "s"; b_net = "b";
+         i_drain = 1e-3 }).Motif.cell
+  | Gen_stack (mtype, units, unit_w, l) ->
+    (Stack.generate P.c06
+       { (mirror_spec ~units ~current:0.2e-3 ~unit_w ()) with Stack.mtype; l })
+      .Stack.cell
+  | Gen_pair (mtype, style, nf, w, l) ->
+    (Pair.generate P.c06 { (pair_spec style nf) with Pair.mtype; w; l }).Pair.cell
+
+let gen_cell =
+  let open QCheck.Gen in
+  let mtype = oneofl [ E.Nmos; E.Pmos ] in
+  let um lo hi = map (fun x -> x *. 1e-6) (float_range lo hi) in
+  oneof
+    [
+      map (fun (m, nf, w, l) -> Gen_motif (m, nf, w, l))
+        (quad mtype (int_range 1 8) (um 2.0 40.0) (um 0.6 3.0));
+      map (fun (m, units, w, l) -> Gen_stack (m, units, w, l))
+        (quad mtype (list_size (int_range 1 3) (int_range 1 4)) (um 2.0 20.0)
+           (um 0.6 3.0));
+      map (fun ((m, style, nf), w, l) -> Gen_pair (m, style, nf, w, l))
+        (triple
+           (triple mtype (oneofl [ Pair.Interdigitated; Pair.Common_centroid ])
+              (map (fun k -> 2 * k) (int_range 1 3)))
+           (um 10.0 40.0) (um 0.6 3.0));
+    ]
+
+let print_gen g =
+  let mos = function E.Nmos -> "nmos" | E.Pmos -> "pmos" in
+  match g with
+  | Gen_motif (m, nf, w, l) ->
+    Printf.sprintf "%s motif nf=%d w=%g l=%g" (mos m) nf w l
+  | Gen_stack (m, units, w, l) ->
+    Printf.sprintf "%s stack %s w=%g l=%g" (mos m)
+      (String.concat ":" (List.map string_of_int units)) w l
+  | Gen_pair (m, style, nf, w, l) ->
+    Printf.sprintf "%s pair %s nf=%d w=%g l=%g" (mos m)
+      (Pair.style_to_string style) nf w l
+
+(* Every cell operation commutes with expanding the columns: moving,
+   normalising and merging a cell with columns answers every query as
+   the same operations on its plain-rectangle expansion do. *)
+let prop_columns_match_expansion =
+  QCheck.Test.make ~name:"cell queries with columns equal their expansion"
+    ~count:40
+    (QCheck.make ~print:(fun (g, (dx, dy)) ->
+       Printf.sprintf "%s dx=%d dy=%d" (print_gen g) dx dy)
+       QCheck.Gen.(pair gen_cell (pair (int_range (-50) 50) (int_range (-50) 50))))
+    (fun (g, (dx, dy)) ->
+      let c = cell_of_gen g in
+      let ops =
+        [
+          Fun.id;
+          Cl.translate ~dx ~dy;
+          (fun c -> Cl.normalize (Cl.translate ~dx ~dy c));
+          (fun c ->
+            let w, _ = Cl.size c in
+            Cl.merge "m" [ c; Cl.translate ~dx:(w + 3 + abs dx) ~dy c ]);
+        ]
+      in
+      List.for_all
+        (fun op ->
+          let q = queries (op c) in
+          q = queries (expanded (op c)) && q = queries (op (expanded c)))
+        ops)
+
+(* Digests of the sorted flattened rectangles and of the DRC violations
+   of the generation-mode layouts at the paper spec and of the Fig. 3
+   mirror: how a cell stores its shapes must not change what is drawn. *)
+let test_layout_golden () =
+  let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
+  let check label cell ~rects ~violations ~drc =
+    Alcotest.(check string) (label ^ " rectangles") rects
+      (digest (sorted_lines rect_line (Cl.flatten cell)));
+    let vs = Drc.check P.c06 cell in
+    Alcotest.(check int) (label ^ " violations") violations (List.length vs);
+    Alcotest.(check string) (label ^ " violation digest") drc
+      (digest (sorted_lines (Format.asprintf "%a" Drc.pp_violation) vs))
+  in
+  List.iter
+    (fun (case, rects, violations, drc) ->
+      let r =
+        Core.Flow.run ~proc:P.c06 ~kind:Device.Model.Bsim_lite
+          ~spec:Comdiac.Spec.paper_ota case
+      in
+      match r.Core.Flow.report.Plan.cell with
+      | None -> Alcotest.fail "generation mode must emit a cell"
+      | Some cell ->
+        check (Core.Flow.case_label case) cell ~rects ~violations ~drc)
+    [
+      (Core.Flow.Case1, "343d24c2f046116ac05e7b795a9f5e78", 40,
+       "adc88895eca25d20d093106f128de7f6");
+      (Core.Flow.Case2, "912f9905116fb4295114959f73e7ee63", 34,
+       "6e6f67fa674e0cd77c1fe8dd1b7b067e");
+      (Core.Flow.Case3, "c7c8130942cb01658e163e94e26a6df3", 34,
+       "fb0171eded9bcd927888de07c158211f");
+      (Core.Flow.Case4, "65ae34990695de35616d4adac641a10c", 34,
+       "bc5bef5e227d3e267ed3cc309e0b8fe2");
+    ];
+  let fig3 = Stack.generate P.c06 (mirror_spec ~unit_w:12e-6 ()) in
+  check "Fig. 3 mirror" fig3.Stack.cell
+    ~rects:"49e82d1def4e05d6e705733dc3d2e694" ~violations:0
+    ~drc:"d41d8cd98f00b204e9800998ecf8427e"
+
+(* A cell whose only shape is a column is not empty: its bbox spans the
+   column, and the router puts its channel above it. *)
+let test_column_only_cell () =
+  let cut = G.rect L.Contact ~x0:4 ~y0:10 ~x1:6 ~y1:12 in
+  let c = Cl.add_column (Cl.empty "col") ~count:3 ~pitch:5 cut in
+  Alcotest.(check (list int)) "bbox spans the column" [ 4; 10; 6; 22 ]
+    (let x0, y0, x1, y1 = Cl.bbox c in [ x0; y0; x1; y1 ]);
+  Alcotest.(check int) "three cuts" 3 (Cl.rect_count c);
+  let placed =
+    Cl.add_port c ~net:"n1" (G.rect L.Metal1 ~x0:3 ~y0:10 ~x1:7 ~y1:12)
+  in
+  let r =
+    Route.route P.c06 ~placed ~nets:[ { Route.net = "n1"; current = 1e-4 } ]
+  in
+  Alcotest.(check (list int)) "trunk above the column"
+    [ 22 + P.c06.P.rules.Technology.Rules.metal2_space ]
+    (List.map (fun w -> w.Route.trunk_y) r.Route.wires)
+
 let suite =
   ( "layout",
     [
@@ -540,4 +715,9 @@ let suite =
           prop_shape_merge_matches_cross;
           prop_stockmeyer_optimal;
           prop_placements_inside_box;
-        ] )
+        ]
+    @ [
+        case "golden layouts and DRC" test_layout_golden;
+        case "column-only cell is not empty" test_column_only_cell;
+      ]
+    @ qcheck_cases [ prop_columns_match_expansion ] )
