@@ -645,28 +645,24 @@ let stats_cmd =
     Arg.(value & opt int 2
          & info [ "repeat" ] ~docv:"K"
              ~doc:"Run the workload $(docv) times; from the second \
-                   iteration on, the coarse memo caches should answer \
-                   nearly every sample and corner point.  0 skips the \
+                   iteration on, the request-boundary memo \
+                   ($(b,serve.result)) answers both jobs.  0 skips the \
                    workload and just prints the (empty) view.")
   in
   let run tele format proc kind spec samples repeat =
     (* the whole point of this subcommand is the observability view, so
        collect telemetry even without an explicit --metrics *)
     Obs.Config.set_enabled true;
-    let ctx = ctx_of ~label:"stats" tele proc in
     (* --repeat 0 skips the demo workload entirely: the view (and the
        json snapshot) then reports a never-started pool and empty
        caches, which must render cleanly too. *)
     if repeat > 0 then begin
-      let design =
-        Comdiac.Folded_cascode.size ~proc ~kind ~spec
-          ~parasitics:Comdiac.Parasitics.single_fold
-      in
-      let amp = design.Comdiac.Folded_cascode.amp in
+      let seed = Exec.Ctx.seed ?override:tele.seed None in
       for i = 1 to repeat do
         let t0 = Obs.Clock.monotonic_s () in
-        ignore (Comdiac.Montecarlo.run ~n:samples ~ctx ~kind ~spec amp);
-        ignore (Comdiac.Robustness.run ~ctx ~kind ~spec amp);
+        List.iter
+          (fun w -> ignore (Serve.Api.execute (request_of tele proc kind spec w)))
+          [ Serve.Protocol.Mc { n = samples; seed }; Serve.Protocol.Corners ];
         if format = Text then
           Format.printf "run %d: monte carlo (n=%d) + corner sweep in %.2f s@."
             i samples

@@ -32,9 +32,10 @@ let finish proc dev bias eval =
   { eval; caps = caps_at proc dev bias eval; geom = Mos.diffusion_geom proc dev;
     bias }
 
-let compute proc kind dev bias =
+let compute ?(exact = false) proc kind dev bias =
   let p = Mos.params proc dev in
-  let eval = Model.evaluate kind p ~w:dev.Mos.w ~l:dev.Mos.l bias in
+  let evaluate = if exact then Model.evaluate_exact else Model.evaluate in
+  let eval = evaluate kind p ~w:dev.Mos.w ~l:dev.Mos.l bias in
   finish proc dev bias eval
 
 let compute_lut proc kind dev bias =

@@ -10,12 +10,15 @@ type t = {
 }
 
 val compute :
+  ?exact:bool ->
   Technology.Process.t -> Model.kind -> Mos.t -> Model.bias -> t
 (** [compute proc kind dev bias] evaluates [dev] at [bias], where [bias]
     is expressed in the device's own polarity convention (all voltages
     positive for a normally-biased device, vbs as reverse magnitude
     negative).  Junction reverse biases are taken as |vdb| and |vsb| with
-    vdb = vds - vbs and vsb = -vbs. *)
+    vdb = vds - vbs and vsb = -vbs.  [~exact:true] evaluates with
+    {!Model.evaluate_exact}, bypassing the [device.eval] memo (same
+    bits) for biases that almost never repeat. *)
 
 val caps_at : Technology.Process.t -> Mos.t -> Model.bias -> Model.eval -> Caps.t
 (** The capacitance set of {!compute} alone, from an evaluation the caller

@@ -297,14 +297,7 @@ let classify ~analysis f =
      | Some err -> Error err
      | None -> raise e)
 
-let run_workload ?cancel (r : P.request) proc =
-  let ctx =
-    Exec.Ctx.with_timeout r.P.timeout_s
-      (Exec.Ctx.make ?jobs:r.P.jobs ?cache:r.P.cache
-         ?seed:r.P.seed
-         ?telemetry:(if r.P.telemetry then Some true else None)
-         ~label:(P.workload_name r.P.workload) ?cancel proc)
-  in
+let run_workload ~ctx (r : P.request) proc =
   let kind = r.P.kind and spec = r.P.spec in
   match r.P.workload with
   | P.Cancel _ ->
@@ -324,51 +317,47 @@ let run_workload ?cancel (r : P.request) proc =
       (Result.map flow_payload
          (Core.Flow.run_result ~ctx ~kind ~spec case))
   | P.Size { topology } ->
-    let sized =
+    let icmr_spec = { spec with Comdiac.Spec.icmr = (1.2, 2.1) } in
+    let sizer =
       match topology with
       | "folded-cascode" | "fc" ->
         Some
-          (classify ~analysis:"size" (fun () ->
-             let d = nominal_design ~proc ~kind ~spec in
-             (d.Comdiac.Folded_cascode.amp,
-              [
-                ("predicted_gbw",
-                 J.Num d.Comdiac.Folded_cascode.predicted_gbw);
-                ("predicted_pm", J.Num d.Comdiac.Folded_cascode.predicted_pm);
-                ("predicted_gain_db",
-                 J.Num d.Comdiac.Folded_cascode.predicted_gain_db);
-                ("iterations",
-                 J.Num (float_of_int d.Comdiac.Folded_cascode.iterations));
-              ])))
+          (fun () ->
+            let d = nominal_design ~proc ~kind ~spec in
+            (d.Comdiac.Folded_cascode.amp,
+             [
+               ("predicted_gbw", J.Num d.Comdiac.Folded_cascode.predicted_gbw);
+               ("predicted_pm", J.Num d.Comdiac.Folded_cascode.predicted_pm);
+               ("predicted_gain_db",
+                J.Num d.Comdiac.Folded_cascode.predicted_gain_db);
+               ("iterations",
+                J.Num (float_of_int d.Comdiac.Folded_cascode.iterations));
+             ]))
       | "two-stage" | "miller" ->
-        let spec = { spec with Comdiac.Spec.icmr = (1.2, 2.1) } in
         Some
-          (classify ~analysis:"size" (fun () ->
-             let d =
-               Comdiac.Two_stage.size ~proc ~kind ~spec
-                 ~parasitics:Comdiac.Parasitics.single_fold
-             in
-             (d.Comdiac.Two_stage.amp, [])))
+          (fun () ->
+            ((Comdiac.Two_stage.size ~proc ~kind ~spec:icmr_spec
+                ~parasitics:Comdiac.Parasitics.single_fold)
+               .Comdiac.Two_stage.amp, []))
       | "5t" | "simple" ->
-        let spec = { spec with Comdiac.Spec.icmr = (1.2, 2.1) } in
         Some
-          (classify ~analysis:"size" (fun () ->
-             let d =
-               Comdiac.Simple_ota.size ~proc ~kind ~spec
-                 ~parasitics:Comdiac.Parasitics.single_fold
-             in
-             (d.Comdiac.Simple_ota.amp, [])))
+          (fun () ->
+            ((Comdiac.Simple_ota.size ~proc ~kind ~spec:icmr_spec
+                ~parasitics:Comdiac.Parasitics.single_fold)
+               .Comdiac.Simple_ota.amp, []))
       | _ -> None
     in
-    (match sized with
+    (match sizer with
      | None ->
        Error
          (Printf.sprintf
             "unknown topology %S (folded-cascode|two-stage|5t)" topology)
-     | Some (Error e) -> Ok (Error e)
-     | Some (Ok (amp, predicted)) ->
+     | Some size ->
        Ok
          (classify ~analysis:"size" (fun () ->
+            (* sizing has no inner boundary: poll the deadline once *)
+            Exec.Ctx.check_deadline ~analysis:"size" (Some ctx);
+            let amp, predicted = size () in
             let tb = Comdiac.Testbench.make ~proc ~kind ~spec amp in
             J.Obj
               ([
@@ -431,6 +420,56 @@ let run_workload ?cancel (r : P.request) proc =
                         J.Arr [ J.Num lo; J.Num hi ]);
                      ])))))
 
+(* --- the result memo ---------------------------------------------------- *)
+
+(* A [Done] payload is a deterministic function of the workload with its
+   parameters, technology, model kind, spec and resolved seed; the id,
+   pool width, telemetry and deadline change how a job runs, never what
+   it answers.  A warm repeat is one lookup; failures are not stored. *)
+let result_memo :
+    (P.workload * string * Device.Model.kind * Comdiac.Spec.t * int, J.t)
+    Cache.Memo.t =
+  Cache.Memo.create ~name:"serve.result" ~shards:4 ~capacity:256 ()
+
+(* carries a miss's non-[Done] outcome past the memo, which stores nothing *)
+exception Unstored of ((J.t, Sim.Sim_error.t) result, string) result
+
+let run_memoized ?cancel (r : P.request) proc =
+  let ctx =
+    Exec.Ctx.with_timeout r.P.timeout_s
+      (Exec.Ctx.make ?jobs:r.P.jobs ?cache:r.P.cache
+         ?seed:r.P.seed
+         ?telemetry:(if r.P.telemetry then Some true else None)
+         ~label:(P.workload_name r.P.workload) ?cancel proc)
+  in
+  match r.P.workload with
+  | P.Ping | P.Sleep _ | P.Tech | P.Stats | P.Cancel _ -> run_workload ~ctx r proc
+  | P.Synth _ | P.Size _ | P.Mc _ | P.Corners | P.Verify _ | P.Optimize _ ->
+    let computed = ref false in
+    let lookup () =
+      Cache.Memo.find_or_compute result_memo
+        (r.P.workload, r.P.proc, r.P.kind, r.P.spec, Exec.Ctx.seed (Some ctx))
+        (fun () ->
+          computed := true;
+          match run_workload ~ctx r proc with
+          | Ok (Ok payload) -> payload
+          | outcome -> raise (Unstored outcome))
+    in
+    (match
+       match r.P.cache with
+       | Some on -> Cache.Config.with_enabled on lookup
+       | None -> lookup ()
+     with
+     | payload when !computed -> Ok (Ok payload)
+     | payload ->
+       (* a hit still honours the deadline and the cancellation token *)
+       let analysis = P.workload_name r.P.workload in
+       Ok
+         (classify ~analysis (fun () ->
+            Exec.Ctx.check_deadline ~analysis (Some ctx);
+            payload))
+     | exception Unstored outcome -> outcome)
+
 let execute ?cancel (r : P.request) =
   let t0 = Obs.Clock.monotonic_s () in
   let finish status payload =
@@ -444,7 +483,7 @@ let execute ?cancel (r : P.request) =
   in
   match
     match Technology.Process.find r.P.proc with
-    | proc -> run_workload ?cancel r proc
+    | proc -> run_memoized ?cancel r proc
     | exception Not_found ->
       Error
         (Printf.sprintf "unknown technology %S (have: %s)" r.P.proc

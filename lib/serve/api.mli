@@ -21,7 +21,13 @@
     job aborts at its next [check_deadline] poll (surfacing as
     [Failed Timeout], which the server maps to [Cancelled]).  A
     [Cancel] workload itself answers [Bad_request] here — only the
-    server's reader thread can act on it. *)
+    server's reader thread can act on it.
+
+    [Done] payloads of synth, size, mc, corners, verify and optimize
+    jobs are memoized ([serve.result], LRU of 256) keyed by workload,
+    technology, kind, spec and resolved seed, so a warm repeat is one
+    lookup with the cold bytes.  A hit polls the deadline once; a
+    cache-off request ({!Cache.Config}) bypasses the memo. *)
 
 val execute : ?cancel:bool Atomic.t -> Protocol.request -> Protocol.response
 

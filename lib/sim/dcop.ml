@@ -90,7 +90,9 @@ let device_ops_at proc kind circuit volt =
       let bias =
         Stamps.device_bias dev ~vd:(volt d) ~vg:(volt g) ~vs:(volt s) ~vb:(volt b)
       in
-      (dev.Device.Mos.name, Device.Op.compute proc kind dev bias))
+      (* Newton-converged biases almost never repeat: skip the memo, as
+         the stamps do *)
+      (dev.Device.Mos.name, Device.Op.compute ~exact:true proc kind dev bias))
     (Netlist.Circuit.mos_devices circuit)
 
 let record_solve ~t0 ~iters ~unknowns =

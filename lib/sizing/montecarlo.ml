@@ -86,17 +86,6 @@ let input_pair_sigma proc amp =
     sqrt 2.0 *. sigma_vt
   | None -> 0.0
 
-(* Coarse per-sample memo: sample [i] is a pure function of (process,
-   model kind, spec, run seed, index, nominal amp), so a warm re-run of
-   the same Monte Carlo workload — the common case when comparing
-   analyses or benchmarking — hits here and skips the whole perturb +
-   testbench + measure chain.  [None] (non-converged) is cached too. *)
-let sample_memo :
-    ( Technology.Process.t * Device.Model.kind * Spec.t * int * int * Amp.t,
-      sample option )
-    Cache.Memo.t =
-  Cache.Memo.create ~name:"comdiac.mc_sample" ~shards:8 ~capacity:8192 ()
-
 let run ?seed ?(n = 50) ?ctx ?jobs ?proc ~kind ~spec amp =
   assert (n > 0);
   let seed = Exec.Ctx.seed ?override:seed ctx in
@@ -111,21 +100,15 @@ let run ?seed ?(n = 50) ?ctx ?jobs ?proc ~kind ~spec amp =
     (* cooperative timeout: a served job's deadline is honoured between
        samples, never mid-solve *)
     Exec.Ctx.check_deadline ~analysis:"montecarlo" ctx;
-    Cache.Memo.find_or_compute sample_memo
-      (proc, kind, spec, seed, index, amp)
-      (fun () ->
-        match
-          Testbench.make ~proc ~kind ~spec (sample_amp ~proc ~seed index amp)
-        with
-        | tb ->
-          Some
-            {
-              offset = Testbench.offset tb;
-              dc_gain_db = Sim.Measure.db (Testbench.dc_gain tb);
-              gbw =
-                (match Testbench.gbw tb with Some f -> f | None -> Float.nan);
-            }
-        | exception Phys.Numerics.No_convergence _ -> None)
+    match Testbench.make ~proc ~kind ~spec (sample_amp ~proc ~seed index amp) with
+    | tb ->
+      Some
+        {
+          offset = Testbench.offset tb;
+          dc_gain_db = Sim.Measure.db (Testbench.dc_gain tb);
+          gbw = (match Testbench.gbw tb with Some f -> f | None -> Float.nan);
+        }
+    | exception Phys.Numerics.No_convergence _ -> None
   in
   let samples =
     Obs.Trace.with_span ~cat:"comdiac"

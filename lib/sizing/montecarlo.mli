@@ -59,11 +59,9 @@ val run :
     override), then [ctx.jobs], then {!Par.Pool.default_jobs}.  [ctx]'s
     cache/telemetry switches are applied for the duration of the run.
 
-    Each sample is memoized ([comdiac.mc_sample] in
-    {!Cache.Memo.registry}) keyed by (process, kind, spec, seed, index,
-    nominal amp): re-running the same workload returns cached samples,
-    and the statistics are bit-identical with caching on or off.  Raises
-    if no sample converges. *)
+    Samples are not memoized: no sample repeats inside one run, and a
+    repeated served job is answered whole by the [serve.result] memo of
+    {!Serve.Api.execute}.  Raises if no sample converges. *)
 
 val run_result :
   ?seed:int -> ?n:int -> ?ctx:Exec.Ctx.t -> ?jobs:int ->

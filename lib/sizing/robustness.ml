@@ -47,18 +47,6 @@ let measure_point ?rebias ~proc ~kind ~spec ~corner ~temperature amp =
       biased = false;
     }
 
-(* Coarse per-point memo: without [rebias] a grid point is a pure
-   function of (process, kind, spec, corner, temperature, amp), so a
-   warm re-run of the same sweep returns every point from cache.  With
-   [rebias] the point depends on a closure that cannot be keyed
-   structurally ([compare] raises on functional values), so those runs
-   bypass this memo — the fine-grained device.eval memo still helps. *)
-let point_memo :
-    ( Technology.Process.t * Device.Model.kind * Spec.t * C.t * float * Amp.t,
-      point )
-    Cache.Memo.t =
-  Cache.Memo.create ~name:"comdiac.corner_point" ~shards:8 ~capacity:8192 ()
-
 let run ?corners ?temperatures ?ctx ?jobs ?rebias ?proc ~kind ~spec amp =
   let proc = Exec.Ctx.proc ?override:proc ctx in
   let jobs = Exec.Ctx.jobs ?override:jobs ctx in
@@ -67,14 +55,7 @@ let run ?corners ?temperatures ?ctx ?jobs ?rebias ?proc ~kind ~spec amp =
   let measure (corner, temperature) =
     (* cooperative timeout boundary, as in Montecarlo.run *)
     Exec.Ctx.check_deadline ~analysis:"robustness" ctx;
-    match rebias with
-    | Some _ ->
-      measure_point ?rebias ~proc ~kind ~spec ~corner ~temperature amp
-    | None ->
-      Cache.Memo.find_or_compute point_memo
-        (proc, kind, spec, corner, temperature, amp)
-        (fun () ->
-          measure_point ~proc ~kind ~spec ~corner ~temperature amp)
+    measure_point ?rebias ~proc ~kind ~spec ~corner ~temperature amp
   in
   (* every grid point re-corners the process and re-simulates a fixed
      design — fully independent, so fan out over the domain pool *)

@@ -38,12 +38,9 @@ val run :
     {!Par.Pool.default_jobs}.  Grid points are measured in parallel on
     the {!Par.Pool} domain pool; [points] is always in grid order.
 
-    Without [rebias], each grid point is memoized
-    ([comdiac.corner_point] in {!Cache.Memo.registry}) keyed by
-    (process, kind, spec, corner, temperature, amp); a warm re-run of
-    the same sweep returns every point from cache, bit-identical to the
-    cold run.  With [rebias] the per-point memo is bypassed (closures
-    cannot be structural cache keys).
+    Grid points are not memoized: no point repeats inside one sweep, and
+    a repeated served job is answered whole by the [serve.result] memo
+    of {!Serve.Api.execute}.
 
     [rebias] models a tracking bias generator: it is handed the cornered
     process and must return the amp with bias voltages recomputed for it

@@ -166,17 +166,7 @@ let input_noise_density t ~freq =
 let integrated_input_noise t ~fmin ~fmax =
   Sim.Noise.integrated_input_noise t.dc t.net_dm ~out:"out" ~fmin ~fmax
 
-(* Coarse memo over the full measurement suite: the record is a pure
-   function of (process, kind, spec, amp) — everything [t] was built
-   from — and [performance] is the expensive step the flow repeats on
-   identical amps (synthesized vs extracted checks, warm re-runs). *)
-let performance_memo :
-    ( Technology.Process.t * Device.Model.kind * Spec.t * Amp.t,
-      Performance.t )
-    Cache.Memo.t =
-  Cache.Memo.create ~name:"comdiac.performance" ~shards:8 ~capacity:1024 ()
-
-let performance_exact t =
+let performance t =
   let fu, pm =
     match gbw t with
     | Some f -> (f, phase_margin_at t f)
@@ -199,10 +189,6 @@ let performance_exact t =
     flicker_noise_density = input_noise_density t ~freq:1.0;
     power = power t;
   }
-
-let performance t =
-  Cache.Memo.find_or_compute performance_memo (t.proc, t.kind, t.spec, t.amp)
-    (fun () -> performance_exact t)
 
 let operating_point t = t.dc
 

@@ -70,10 +70,9 @@ val performance : t -> Performance.t
     evaluated in the white region (GBW / 4), flicker at 1 Hz, integrated
     noise from 1 Hz to the measured GBW.
 
-    Memoized ([comdiac.performance] in {!Cache.Memo.registry}) keyed by
-    (process, kind, spec, amp): repeated measurements of the same amp —
-    the flow's synthesized/extracted checks, warm benchmark re-runs —
-    return the cached record, bit-identical to recomputation. *)
+    Not memoized: a flow measures each amp once (the synthesized and the
+    extracted benches differ), and a repeated served job is answered
+    whole by the [serve.result] memo of {!Serve.Api.execute}. *)
 
 val operating_point : t -> Sim.Dcop.t
 (** The offset-nulled differential-bench operating point (for reports). *)

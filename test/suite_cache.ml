@@ -126,25 +126,34 @@ let sized =
     (Comdiac.Folded_cascode.size ~proc ~kind ~spec
        ~parasitics:Comdiac.Parasitics.single_fold)
 
-(* the comdiac.mc_sample memo *)
+(* A served job with caching on, off and warm: the warm repeat must be
+   answered by the request-boundary memo, with the cold bytes. *)
+let check_served_identity workload =
+  check_cache_identity ~memo:"serve.result" ~strip:Serve.Protocol.canonical
+    (fun () -> Serve.Api.execute (Serve.Protocol.request workload))
+
+(* Monte Carlo samples are not memoized: the direct run is compared cold,
+   warm and uncached, and the served job is answered from serve.result *)
 let test_mc_bit_identity () =
   let amp = (Lazy.force sized).Comdiac.Folded_cascode.amp in
-  check_cache_identity ~memo:"comdiac.mc_sample" ~strip:Fun.id (fun () ->
-    Comdiac.Montecarlo.run ~n:6 ~proc ~kind ~spec amp)
+  check_cache_identity ~strip:Fun.id (fun () ->
+    Comdiac.Montecarlo.run ~n:6 ~proc ~kind ~spec amp);
+  check_served_identity (Serve.Protocol.Mc { n = 6; seed = 3 })
 
-(* the comdiac.corner_point memo (frozen bias), and the rebiased sweep
-   that bypasses it for the device-level memos *)
+(* frozen-bias and rebiased sweeps (the device-level memos only), then
+   the served corner job answered from serve.result *)
 let test_corners_bit_identity () =
   let design = Lazy.force sized in
   let amp = design.Comdiac.Folded_cascode.amp in
   let corners = Technology.Corner.[ TT; SS ] in
   let temperatures = [ Technology.Corner.celsius 85.0 ] in
-  check_cache_identity ~memo:"comdiac.corner_point" ~strip:Fun.id (fun () ->
+  check_cache_identity ~strip:Fun.id (fun () ->
     Comdiac.Robustness.run ~corners ~temperatures ~proc ~kind ~spec amp);
   let rebias p = Comdiac.Folded_cascode.rebias ~proc:p ~kind ~spec design in
   check_cache_identity ~strip:Fun.id (fun () ->
     Comdiac.Robustness.run ~corners ~temperatures ~rebias ~proc ~kind ~spec
-      amp)
+      amp);
+  check_served_identity Serve.Protocol.Corners
 
 (* --- concurrent access from pool workers ---------------------------------- *)
 

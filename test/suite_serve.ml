@@ -297,10 +297,19 @@ let test_api_timeout () =
     Serve.Api.execute
       (P.request ~timeout_s:0.0 (P.Mc { n = 50; seed = 2 }))
   in
+  (match r.P.status with
+   | P.Failed (Sim.Sim_error.Timeout { analysis; _ }) ->
+     Alcotest.(check string) "classified analysis" "montecarlo" analysis
+   | s -> Alcotest.failf "expected timeout, got %s" (P.status_string s));
+  (* a cold sizing job, which has no inner boundary, polls it once *)
+  let r =
+    Serve.Api.execute
+      (P.request ~cache:false ~timeout_s:0.0 (P.Size { topology = "fc" }))
+  in
   match r.P.status with
   | P.Failed (Sim.Sim_error.Timeout { analysis; _ }) ->
-    Alcotest.(check string) "classified analysis" "montecarlo" analysis
-  | s -> Alcotest.failf "expected timeout, got %s" (P.status_string s)
+    Alcotest.(check string) "sizing analysis" "size" analysis
+  | s -> Alcotest.failf "expected a sizing timeout, got %s" (P.status_string s)
 
 let test_result_variants () =
   (* the raising and _result entry points agree on success... *)
@@ -619,6 +628,9 @@ let prop_conflicting_ctx_identity =
       in
       (* solo reference: each request executed alone, sequentially *)
       let solo = List.map (fun r -> P.canonical (Serve.Api.execute r)) reqs in
+      (* the solo runs filled the result memo: empty it so the cache-on
+         served jobs compute concurrently instead of looking up *)
+      Cache.Memo.clear_all ();
       let served = Array.make (List.length reqs) "" in
       with_server ~config:{ Serve.Server.default_config with executors = 4 }
       @@ fun _server path ->
@@ -798,6 +810,121 @@ let test_round_robin_fairness () =
   done;
   Serve.Client.close a
 
+(* --- the request-boundary result memo ---------------------------------------- *)
+
+let result_memo () =
+  List.find
+    (fun st -> st.Cache.Memo.name = "serve.result")
+    (Cache.Memo.registry ())
+
+(* hits and misses of serve.result over [f ()] *)
+let memo_delta f =
+  let before = result_memo () in
+  let r = f () in
+  let after = result_memo () in
+  (r, after.Cache.Memo.hits - before.Cache.Memo.hits,
+   after.Cache.Memo.misses - before.Cache.Memo.misses)
+
+let memo_workload = P.Mc { n = 3; seed = 11 }
+
+let test_result_memo_hits () =
+  Cache.Config.with_enabled true @@ fun () ->
+  Cache.Memo.clear_all ();
+  let cold, _, misses = memo_delta (fun () -> Serve.Api.execute (P.request ~id:1 memo_workload)) in
+  Alcotest.(check int) "the cold job misses" 1 misses;
+  (match cold.P.status with
+   | P.Done -> ()
+   | s -> Alcotest.failf "cold job gave %s" (P.status_string s));
+  let uncached, hits, misses =
+    memo_delta (fun () ->
+      Serve.Api.execute (P.request ~id:1 ~cache:false memo_workload))
+  in
+  Alcotest.(check int) "cache:false bypasses the memo" 0 (hits + misses);
+  Alcotest.(check string) "cache:false = cold bytes" (P.canonical cold)
+    (P.canonical uncached);
+  List.iter
+    (fun (label, req) ->
+      let r, hits, misses = memo_delta (fun () -> Serve.Api.execute req) in
+      Alcotest.(check (pair int int)) (label ^ ": one hit, no miss") (1, 0)
+        (hits, misses);
+      Alcotest.(check string) (label ^ ": the cold bytes") (P.canonical cold)
+        (P.canonical { r with P.rid = cold.P.rid }))
+    [
+      ("another id", P.request ~id:2 memo_workload);
+      ("another jobs", P.request ~id:1 ~jobs:2 memo_workload);
+      ("telemetry on", P.request ~id:1 ~telemetry:true memo_workload);
+    ]
+
+let test_result_memo_misses () =
+  Cache.Config.with_enabled true @@ fun () ->
+  List.iter
+    (fun (label, req) ->
+      let _, hits, misses = memo_delta (fun () -> Serve.Api.execute req) in
+      Alcotest.(check (pair int int)) (label ^ " misses") (0, 1) (hits, misses))
+    [
+      ("a different Monte Carlo seed", P.request (P.Mc { n = 3; seed = 12 }));
+      ("a different ctx seed", P.request ~seed:7 memo_workload);
+      ("a different spec",
+       P.request ~spec:{ spec with Comdiac.Spec.gbw = 60e6 } memo_workload);
+    ]
+
+let test_result_memo_deadline () =
+  (* a would-be hit still answers Timeout on an expired deadline and on a
+     set cancellation token (which the server reports as Cancelled) *)
+  Cache.Config.with_enabled true @@ fun () ->
+  ignore (Serve.Api.execute (P.request memo_workload));
+  let expect_timeout label f =
+    let r, hits, _ = memo_delta f in
+    Alcotest.(check int) (label ^ ": looked up") 1 hits;
+    match r.P.status with
+    | P.Failed (Sim.Sim_error.Timeout _) -> ()
+    | s -> Alcotest.failf "%s: expected timeout, got %s" label (P.status_string s)
+  in
+  expect_timeout "timeout_s 0" (fun () ->
+    Serve.Api.execute (P.request ~timeout_s:0.0 memo_workload));
+  expect_timeout "cancelled" (fun () ->
+    Serve.Api.execute ~cancel:(Atomic.make true) (P.request memo_workload))
+
+let test_result_memo_cancel_queued () =
+  (* a queued job whose answer is in the memo is still answered
+     [cancelled] when a cancel reaches it first *)
+  Cache.Config.with_enabled true @@ fun () ->
+  ignore (Serve.Api.execute (P.request memo_workload));
+  with_server ~config:{ Serve.Server.default_config with executors = 1 }
+  @@ fun _server path ->
+  let c = Serve.Client.connect path in
+  Serve.Client.submit c (P.request ~id:61 (P.Sleep { seconds = 0.3 }));
+  Thread.delay 0.1;
+  Serve.Client.submit c (P.request ~id:62 memo_workload);
+  Serve.Client.submit c (P.request ~id:63 (P.Cancel { target = 62 }));
+  ignore (Serve.Client.await c 63);
+  ignore (Serve.Client.await c 61);
+  let r = Serve.Client.await c 62 in
+  Serve.Client.close c;
+  match r.P.status with
+  | P.Cancelled -> ()
+  | s -> Alcotest.failf "queued hit gave %s" (P.status_string s)
+
+let test_result_memo_skips_failures () =
+  (* the 45 MHz sizing hole fails: both runs compute, nothing is stored *)
+  Cache.Config.with_enabled true @@ fun () ->
+  let req =
+    P.request
+      ~spec:{ spec with Comdiac.Spec.gbw = 45e6; cload = 3e-12 }
+      (P.Synth { case = Core.Flow.Case2 })
+  in
+  let entries () = (result_memo ()).Cache.Memo.entries in
+  let stored = entries () in
+  for _ = 1 to 2 do
+    let r, hits, misses = memo_delta (fun () -> Serve.Api.execute req) in
+    (match r.P.status with
+     | P.Failed (Sim.Sim_error.No_convergence _) -> ()
+     | s -> Alcotest.failf "expected no_convergence, got %s" (P.status_string s));
+    Alcotest.(check (pair int int)) "computed, not looked up" (0, 1)
+      (hits, misses)
+  done;
+  Alcotest.(check int) "no entry stored" stored (entries ())
+
 let suite =
   ( "serve",
     [
@@ -845,4 +972,14 @@ let suite =
           test_served_sizing_hole_typed;
         case "ctx.jobs must be positive; ctx.chunk is ignored"
           test_ctx_decoding;
+        case "result memo: id, jobs and telemetry do not key it"
+          test_result_memo_hits;
+        case "result memo: another seed or spec misses"
+          test_result_memo_misses;
+        case "result memo: a hit honours timeout and cancel"
+          test_result_memo_deadline;
+        case "result memo: a cancelled queued hit answers cancelled"
+          test_result_memo_cancel_queued;
+        case "result memo: no_convergence is not stored"
+          test_result_memo_skips_failures;
       ] )
